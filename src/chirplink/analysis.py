@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fdss import FdssFilter, UNIT_AVERAGE_POWER
+from .fdss import FdssFilter
 
 
 @dataclass(frozen=True)
@@ -39,11 +39,8 @@ def snr_post(filt: FdssFilter, snr: float, repetition: int = 1) -> SnrPostReport
     """Post-equalization, post-despreading SNR for a shaping filter.
 
     ``snr`` is the combined-level SNR (per-subcarrier SNR times the
-    repetition factor); it must be positive and the filter must be in
-    unit-average-power normalization.
+    repetition factor); it must be positive and finite.
     """
-    if filt.normalization != UNIT_AVERAGE_POWER:
-        raise ValueError("snr_post expects a unit-average-power filter")
     if not (np.isfinite(snr) and snr > 0):
         raise ValueError("snr must be positive and finite")
     r = int(repetition)

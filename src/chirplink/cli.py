@@ -17,7 +17,7 @@ import yaml
 from . import __version__
 from . import analysis, simulation, transceiver
 from .channel import ChannelProfile
-from .fdss import DEFAULT_DEVIATION
+from .fdss import DEFAULT_DEVIATION, FdssFilter
 from .simulation import LinkConfig, WAVEFORMS, design_filter
 from .transceiver import DataFrame, FrameConfig
 
@@ -83,6 +83,16 @@ CONFIG_SCHEMA = {
 }
 
 
+# YAML integers only: the dataclasses take config values as given, and a
+# float such as ``seed: 5.0`` would pass the stock "integer" check.
+_StrictValidator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool)
+    ),
+)
+
+
 def load_config(path) -> dict:
     """Read and schema-validate a YAML run configuration."""
     try:
@@ -94,7 +104,7 @@ def load_config(path) -> dict:
         raise UsageError(f"malformed YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError("config must be a mapping")
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+    validator = _StrictValidator(CONFIG_SCHEMA)
     errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
     if errors:
         lines = []
@@ -106,32 +116,31 @@ def load_config(path) -> dict:
 
 
 def link_config_from(raw: dict) -> LinkConfig:
-    frame = FrameConfig(**raw.get("frame", {}))
-    ch = raw.get("channel", {"type": "awgn"})
-    if ch["type"] == "awgn":
-        profile = None
-    else:
-        profile = ChannelProfile(
-            tuple(ch.get("tap_powers_db", (0.0, -10.0, -20.0))),
-            float(ch.get("rician_k", 10.0)),
-            tuple(ch.get("tap_delays", (0, 1, 2))),
-        )
-    sweep = raw.get("sweep", {})
+    """Sweep configuration from a schema-valid config mapping.
+
+    Only the keys the config sets are passed on, so every default lives in
+    the dataclasses.  Invalid values raise ``ValueError``.
+    """
+    channel = dict(raw.get("channel", {"type": "awgn"}))
+    profile = None if channel.pop("type") == "awgn" else ChannelProfile(**channel)
+    sweep = {("ebn0_grid_db" if k == "ebn0_db" else k): v for k, v in raw.get("sweep", {}).items()}
+    top = {k: raw[k] for k in ("waveform", "deviation", "n_harmonics") if k in raw}
+    return LinkConfig(
+        frame=FrameConfig(**raw.get("frame", {})), channel_profile=profile, **top, **sweep
+    )
+
+
+def build_run(raw: dict) -> tuple[LinkConfig, FdssFilter]:
+    """Sweep configuration and shaping filter for a schema-valid config.
+
+    This is the one boundary where an invalid value becomes a ``UsageError``.
+    """
     try:
-        return LinkConfig(
-            frame=frame,
-            waveform=raw["waveform"],
-            deviation=float(raw.get("deviation", DEFAULT_DEVIATION)),
-            channel_profile=profile,
-            ebn0_grid_db=tuple(sweep.get("ebn0_db", (0.0, 2.0, 4.0, 6.0, 8.0))),
-            min_bits=int(sweep.get("min_bits", 100_000)),
-            min_errors=int(sweep.get("min_errors", 100)),
-            max_frames=int(sweep.get("max_frames", 100_000)),
-            seed=int(sweep.get("seed", 0)),
-            n_harmonics=int(raw.get("n_harmonics", simulation.TRIANGULAR_HARMONICS)),
-        )
+        cfg = link_config_from(raw)
+        filt = design_filter(cfg.waveform, cfg.deviation, cfg.frame.subcarriers, cfg.n_harmonics)
     except ValueError as exc:
         raise UsageError(f"invalid config: {exc}") from exc
+    return cfg, filt
 
 
 def _echo_header(raw: dict) -> str:
@@ -175,9 +184,8 @@ def parse_data_spec(spec: str, n_symbols: int) -> np.ndarray:
 
 def cmd_synthesize(args) -> int:
     raw = load_config(args.config)
-    cfg = link_config_from(raw)
+    cfg, filt = build_run(raw)
     frame = cfg.frame
-    filt = design_filter(cfg.waveform, cfg.deviation, frame.subcarriers, cfg.n_harmonics)
     data = parse_data_spec(args.data, frame.symbols_per_frame)
     tx = transceiver.modulate(DataFrame(data), filt, frame)
     header = _echo_header(raw)
@@ -204,8 +212,7 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_ber(args) -> int:
-    raw = load_config(args.config)
-    cfg = link_config_from(raw)
+    cfg, _ = build_run(load_config(args.config))
     curve = simulation.run_ber_sweep(cfg)
     curve.to_csv(args.out)
     for p in curve.points:
@@ -220,12 +227,11 @@ def cmd_ber(args) -> int:
 
 def cmd_analyze(args) -> int:
     raw = load_config(args.config)
-    cfg = link_config_from(raw)
+    cfg, filt = build_run(raw)
     frame = cfg.frame
     ana = raw.get("analysis", {})
     header = _echo_header(raw)
     if args.mode == "snrpost":
-        filt = design_filter(cfg.waveform, cfg.deviation, frame.subcarriers, cfg.n_harmonics)
         snr_grid = ana.get("snr_db", list(np.arange(-10.0, 31.0, 2.0)))
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(header)
@@ -236,7 +242,6 @@ def cmd_analyze(args) -> int:
                 post_db = 10.0 * np.log10(rep.snr_post) if not rep.saturated else np.inf
                 fh.write(f"{s:.6f},{post_db:.6f},{rep.alpha_mmse:.9e}\n")
     elif args.mode == "psd":
-        filt = design_filter(cfg.waveform, cfg.deviation, frame.subcarriers, cfg.n_harmonics)
         n_frames = int(ana.get("psd_frames", 1000))
         rng = np.random.default_rng(cfg.seed)
         bodies = np.empty(n_frames * frame.idft_size, dtype=complex)
@@ -254,11 +259,17 @@ def cmd_analyze(args) -> int:
             for k, v in zip(freqs, shift):
                 fh.write(f"{k},{v:.6f}\n")
     elif args.mode == "papr":
+        try:
+            filters = {
+                wf: design_filter(wf, cfg.deviation, frame.subcarriers, cfg.n_harmonics)
+                for wf in WAVEFORMS
+            }
+        except ValueError as exc:
+            raise UsageError(f"invalid config: {exc}") from exc
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(header)
             fh.write("waveform,single_chirp_papr_db,random_frame_papr_db\n")
-            for wf in WAVEFORMS:
-                filt = design_filter(wf, cfg.deviation, frame.subcarriers, cfg.n_harmonics)
+            for wf, filt in filters.items():
                 d = np.zeros(frame.symbols_per_frame, dtype=complex)
                 d[0] = 1.0
                 single = transceiver.modulate(DataFrame(d), filt, frame)

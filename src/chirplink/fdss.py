@@ -21,14 +21,11 @@ outside the occupied band (truncation loss) is recorded on the filter.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import numerics
-
-RAW_FOURIER = "raw_fourier"
-UNIT_AVERAGE_POWER = "unit_average_power"
 
 #: Default frequency-deviation parameter; with M = 336 subcarriers it keeps
 #: the chirp spectrum essentially inside the occupied band.
@@ -36,6 +33,9 @@ DEFAULT_DEVIATION = 318.0
 
 #: Factors whose Bessel argument is below this act as identities and are skipped.
 HARMONIC_SKIP_EPS = 1e-8
+
+#: Bessel orders whose magnitude falls below this are cut from a harmonic factor.
+BESSEL_TAIL_EPS = 1e-12
 
 
 def band_limits(m: int) -> tuple[int, int]:
@@ -45,14 +45,15 @@ def band_limits(m: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class FdssFilter:
-    """Shaping coefficients over subcarriers k = l_down .. l_up.
+    """Unit-average-power shaping coefficients over subcarriers k = l_down .. l_up.
 
-    ``coeffs[i]`` is the weight of subcarrier ``l_down + i``.
+    ``coeffs[i]`` is the weight of subcarrier ``l_down + i``.  A filter is
+    always unit-average-power: the constructor rejects coefficients unless
+    ``sum |c_k|^2 = m`` (relative tolerance 1e-9).
     """
 
     coeffs: np.ndarray
     m: int
-    normalization: str = UNIT_AVERAGE_POWER
     truncation_loss: float = 0.0
 
     def __post_init__(self):
@@ -65,14 +66,8 @@ class FdssFilter:
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("coefficients must be finite")
         power = float(np.sum(np.abs(coeffs) ** 2))
-        if self.normalization == RAW_FOURIER:
-            if power > 1.0 + 1e-6:
-                raise ValueError(f"raw Fourier coefficients carry power {power} > 1")
-        elif self.normalization == UNIT_AVERAGE_POWER:
-            if abs(power - self.m) > 1e-9 * self.m:
-                raise ValueError(f"unit-average-power filter has sum |c|^2 = {power}, want {self.m}")
-        else:
-            raise ValueError(f"unknown normalization {self.normalization!r}")
+        if abs(power - self.m) > 1e-9 * self.m:
+            raise ValueError(f"unit-average-power filter has sum |c|^2 = {power}, want {self.m}")
 
     @property
     def l_down(self) -> int:
@@ -98,13 +93,6 @@ class FdssFilter:
             return np.inf
         return float(mags.max() / lo)
 
-    def with_unit_average_power(self) -> "FdssFilter":
-        if self.normalization == UNIT_AVERAGE_POWER:
-            return self
-        power = float(np.sum(np.abs(self.coeffs) ** 2))
-        scaled = self.coeffs * np.sqrt(self.m / power)
-        return replace(self, coeffs=scaled, normalization=UNIT_AVERAGE_POWER)
-
     def export_csv(self, path) -> None:
         """Write ``k,re,im`` rows at 17 significant digits (lossless)."""
         with open(path, "w", encoding="ascii") as fh:
@@ -118,7 +106,7 @@ class FdssFilter:
         return buf.getvalue()
 
 
-def load_filter_csv(path, normalization: str = UNIT_AVERAGE_POWER) -> FdssFilter:
+def load_filter_csv(path) -> FdssFilter:
     """Read a filter written by :meth:`FdssFilter.export_csv`."""
     ks, vals = [], []
     with open(path, encoding="ascii") as fh:
@@ -136,14 +124,25 @@ def load_filter_csv(path, normalization: str = UNIT_AVERAGE_POWER) -> FdssFilter
     lo, hi = band_limits(m)
     if ks != list(range(lo, hi + 1)):
         raise ValueError("filter CSV subcarrier indices are not the contiguous occupied band")
-    return FdssFilter(np.array(vals), m, normalization)
+    return FdssFilter(np.array(vals), m)
 
 
 def design_plain(m: int) -> FdssFilter:
     """All-ones filter: plain DFT-spread-OFDM, no spectral shaping."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return FdssFilter(np.ones(m, dtype=complex), m, UNIT_AVERAGE_POWER, truncation_loss=0.0)
+    return FdssFilter(np.ones(m, dtype=complex), m)
+
+
+def _from_fourier(raw: np.ndarray, m: int, total: float) -> FdssFilter:
+    """Rescale in-band Fourier coefficients to ``sum |c|^2 = m``.
+
+    ``total`` is the chirp energy over all subcarriers; the part outside
+    the band is recorded as the truncation loss.
+    """
+    power = float(np.sum(np.abs(raw) ** 2))
+    loss = max(0.0, total - power)
+    return FdssFilter(raw * np.sqrt(m / power), m, truncation_loss=loss)
 
 
 def _check_deviation(deviation: float, m: int) -> None:
@@ -172,9 +171,7 @@ def design_sinusoidal(deviation: float, m: int) -> FdssFilter:
     tail_order = int(np.ceil(z)) + 80
     full = numerics.bessel_j_sequence(tail_order, z)
     total = full[0] ** 2 + 2.0 * np.sum(full[1:] ** 2)
-    loss = max(0.0, total - float(np.sum(raw**2)))
-    filt = FdssFilter(raw.astype(complex), m, RAW_FOURIER, truncation_loss=loss)
-    return filt.with_unit_average_power()
+    return _from_fourier(raw, m, total)
 
 
 def design_linear(deviation: float, m: int) -> FdssFilter:
@@ -195,20 +192,11 @@ def design_linear(deviation: float, m: int) -> FdssFilter:
     d = float(deviation)
     lo, hi = band_limits(m)
     ks = np.arange(lo, hi + 1)
-    s1, c1 = _fresnel_array((d - 2 * ks) / np.sqrt(2 * d))
-    s2, c2 = _fresnel_array((d + 2 * ks) / np.sqrt(2 * d))
+    c1, s1 = numerics.fresnel((d - 2 * ks) / np.sqrt(2 * d))
+    c2, s2 = numerics.fresnel((d + 2 * ks) / np.sqrt(2 * d))
     phase = np.exp(-1j * np.pi * d / 4) * np.exp(-1j * np.pi * ks) * np.exp(-1j * np.pi * ks**2 / d)
     raw = phase / np.sqrt(2 * d) * ((c1 + c2) + 1j * (s1 + s2))
-    loss = max(0.0, 1.0 - float(np.sum(np.abs(raw) ** 2)))
-    filt = FdssFilter(raw, m, RAW_FOURIER, truncation_loss=loss)
-    return filt.with_unit_average_power()
-
-
-def _fresnel_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    pairs = [numerics.fresnel(v) for v in x]
-    c = np.array([p[0] for p in pairs])
-    s = np.array([p[1] for p in pairs])
-    return s, c
+    return _from_fourier(raw, m, 1.0)
 
 
 @dataclass(frozen=True)
@@ -304,7 +292,7 @@ def triangular_phase_profile(x, down_first: bool = True) -> np.ndarray:
     return f if down_first else -f
 
 
-def _harmonic_factor(harmonic: int, bessel_arg: float, cosine: bool, tail_eps: float):
+def _harmonic_factor(harmonic: int, bessel_arg: float, cosine: bool):
     """Indexed coefficient sequence of exp(j z cos(n x)) or exp(j z sin(n x)).
 
     The order-m Bessel coefficient sits at subcarrier index n*m (the series
@@ -316,7 +304,7 @@ def _harmonic_factor(harmonic: int, bessel_arg: float, cosine: bool, tail_eps: f
     seq = numerics.bessel_j_sequence(max_order, z)
     if bessel_arg < 0:
         seq = seq * np.where(np.arange(max_order + 1) % 2 == 1, -1.0, 1.0)
-    keep = np.nonzero(np.abs(seq) >= tail_eps)[0]
+    keep = np.nonzero(np.abs(seq) >= BESSEL_TAIL_EPS)[0]
     m_max = int(keep[-1]) if len(keep) else 0
     orders = np.arange(-m_max, m_max + 1)
     vals = seq[np.abs(orders)] * np.where((orders < 0) & (orders % 2 != 0), -1.0, 1.0)
@@ -329,9 +317,7 @@ def _harmonic_factor(harmonic: int, bessel_arg: float, cosine: bool, tail_eps: f
     return numerics.IndexedSequence(out, lo)
 
 
-def design_arbitrary(
-    traj: ChirpTrajectory, m: int, tail_eps: float = 1e-12
-) -> FdssFilter:
+def design_arbitrary(traj: ChirpTrajectory, m: int) -> FdssFilter:
     """Shaping filter for an arbitrary periodic trajectory.
 
     The chirp exponential factors over the trajectory harmonics, each factor
@@ -342,21 +328,19 @@ def design_arbitrary(
     band is reported as ``truncation_loss`` so callers can detect overflow.
     """
     _check_deviation(traj.deviation, m)
-    if tail_eps <= 0:
-        raise ValueError("tail_eps must be positive")
     half_dev = traj.deviation / 2.0
     seq = numerics.IndexedSequence(np.ones(1, dtype=complex), 0)
     for n in range(1, traj.n_harmonics + 1):
         for coeff, cosine in ((traj.cos_coeffs[n - 1], True), (traj.sin_coeffs[n - 1], False)):
             if abs(coeff) * half_dev < HARMONIC_SKIP_EPS:
                 continue
-            seq = numerics.convolve_full(
-                seq, _harmonic_factor(n, coeff * half_dev, cosine, tail_eps)
-            )
+            seq = numerics.convolve_full(seq, _harmonic_factor(n, coeff * half_dev, cosine))
     phase = np.exp(1j * traj.deviation * traj.a0 / 4.0)
     lo, hi = band_limits(m)
-    raw = np.array([phase * seq.at(k) for k in range(lo, hi + 1)])
+    # Zero-pad the sequence so it covers the band, then cut the band out.
+    pad = max(0, seq.start - lo, hi + 1 - seq.stop)
+    values = np.pad(seq.values, pad)
+    first = lo - seq.start + pad
+    raw = phase * values[first : first + m]
     total = float(np.sum(np.abs(seq.values) ** 2))
-    loss = max(0.0, total - float(np.sum(np.abs(raw) ** 2)))
-    filt = FdssFilter(raw, m, RAW_FOURIER, truncation_loss=loss)
-    return filt.with_unit_average_power()
+    return _from_fourier(raw, m, total)

@@ -1,12 +1,12 @@
 """Special functions and spectral transforms used by the waveform modules.
 
-Bessel functions of the first kind are evaluated in-house: a power series
-for small arguments and Miller's backward recurrence (normalized with the
-sum rule ``J_0^2 + 2*sum_k J_k^2 = 1``) for large order/argument, which
-stays stable for the order-hundreds coefficient sweeps the filter designs
-need and yields the whole order sequence in one pass.
+Bessel functions of the first kind come from ``scipy.special.jv``.  This
+module adds the integer-order reflection identities (exact as computed)
+and the argument-domain checks, and ``bessel_j_sequence`` returns the whole
+order sequence J_0 .. J_K that the filter designs sweep in one call.
 
-Fresnel integrals follow the pi/2-normalized convention
+Fresnel integrals come from ``scipy.special.fresnel``, take scalars or
+arrays, and follow the pi/2-normalized convention
 
     C(x) = int_0^x cos(pi u^2 / 2) du,   S(x) = int_0^x sin(pi u^2 / 2) du,
 
@@ -21,74 +21,24 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _special
 
-# Switch point between the power series and backward recurrence.
-_SERIES_CUTOFF = 10.0
-# Rescale threshold inside the backward recurrence to avoid overflow.
-_RESCALE_AT = 1e250
 _MAX_ARG = 1e6
 
 
-def _bessel_series(order: int, x: float) -> float:
-    """Ascending power series for J_order(x), order >= 0, |x| small."""
-    half = 0.5 * x
-    term = 1.0
-    for i in range(1, order + 1):
-        term *= half / i
-        if term == 0.0:  # far underflow: J_order(x) < 1e-308
-            return 0.0
-    total = term
-    m = 0
-    while True:
-        m += 1
-        term *= -(half * half) / (m * (m + order))
-        total += term
-        if abs(term) <= 1e-18 * max(abs(total), 1e-300) or m > 400:
-            return total
-
-
-def _bessel_backward(x: float, max_order: int) -> np.ndarray:
-    """J_0 .. J_max_order at x > 0 via Miller's backward recurrence."""
-    top = max(max_order, int(np.ceil(x)))
-    m_hi = top + 20 + int(2.5 * np.sqrt(top + 1))
-    if m_hi % 2:
-        m_hi += 1
-    out = np.zeros(max_order + 1)
-    f_up = 0.0      # F_{m+1}
-    f = 1e-300      # F_m, arbitrary seed at m = m_hi
-    norm = 0.0      # accumulates F_0 + 2 * sum_{m even > 0} F_m
-    for m in range(m_hi, 0, -1):
-        f_down = (2.0 * m / x) * f - f_up
-        f_up, f = f, f_down
-        if m - 1 <= max_order:
-            out[m - 1] = f
-        if (m - 1) > 0 and (m - 1) % 2 == 0:
-            norm += 2.0 * f
-        if abs(f) > _RESCALE_AT:
-            f *= 1e-250
-            f_up *= 1e-250
-            norm *= 1e-250
-            out *= 1e-250
-    norm += f
-    return out / norm
+def _check_bessel_arg(x: float) -> None:
+    if not np.isfinite(x):
+        raise ValueError("bessel argument must be finite")
+    if abs(x) > _MAX_ARG:
+        raise ValueError(f"bessel argument out of supported range (|x| <= {_MAX_ARG:g})")
 
 
 def bessel_j_sequence(max_order: int, x: float) -> np.ndarray:
     """Return ``[J_0(x), J_1(x), ..., J_max_order(x)]`` for x >= 0."""
-    if not np.isfinite(x):
-        raise ValueError("bessel argument must be finite")
+    _check_bessel_arg(x)
     if x < 0:
         raise ValueError("bessel_j_sequence expects x >= 0")
-    if x > _MAX_ARG:
-        raise ValueError(f"bessel argument out of supported range (|x| <= {_MAX_ARG:g})")
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
-    if x == 0.0:
-        out = np.zeros(max_order + 1)
-        out[0] = 1.0
-        return out
-    if x < _SERIES_CUTOFF:
-        return np.array([_bessel_series(k, x) for k in range(max_order + 1)])
-    return _bessel_backward(x, max_order)
+    return _special.jv(np.arange(max_order + 1), x)
 
 
 def bessel_j(order: int, x: float) -> float:
@@ -97,39 +47,31 @@ def bessel_j(order: int, x: float) -> float:
     Satisfies the reflection identities J_{-k}(x) = (-1)^k J_k(x) and
     J_k(-x) = (-1)^k J_k(x) exactly as computed.
     """
-    if not np.isfinite(x):
-        raise ValueError("bessel argument must be finite")
+    _check_bessel_arg(x)
     order = int(order)
-    sign = 1.0
-    if order < 0:
-        order = -order
-        if order % 2:
-            sign = -sign
-    if x < 0:
-        x = -x
-        if order % 2:
-            sign = -sign
-    if x == 0.0:
-        return 1.0 if order == 0 else 0.0
-    if x > _MAX_ARG:
-        raise ValueError(f"bessel argument out of supported range (|x| <= {_MAX_ARG:g})")
-    if x < _SERIES_CUTOFF:
-        return sign * _bessel_series(order, x)
-    return sign * _bessel_backward(x, order)[order]
+    value = float(_special.jv(abs(order), abs(x)))
+    # Each reflection flips the sign of an odd order; two flips cancel.
+    if order % 2 and (order < 0) != (x < 0):
+        return -value
+    return value
 
 
-def fresnel(x: float) -> tuple[float, float]:
+def fresnel(x):
     """Fresnel integrals (C(x), S(x)) with the pi/2 normalization.
 
     C(x) = int_0^x cos(pi u^2/2) du, S(x) = int_0^x sin(pi u^2/2) du.
-    Both are odd in x, exactly as computed.
+    Both are odd in x, exactly as computed.  A scalar argument gives a
+    pair of floats, an array argument a pair of arrays of its shape.
     """
-    if not np.isfinite(x):
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr)):
         raise ValueError("fresnel argument must be finite")
-    s, c = _special.fresnel(abs(x))
-    if x < 0:
-        return -float(c), -float(s)
-    return float(c), float(s)
+    s, c = _special.fresnel(np.abs(arr))
+    neg = arr < 0
+    c, s = np.where(neg, -c, c), np.where(neg, -s, s)
+    if arr.ndim == 0:
+        return float(c), float(s)
+    return c, s
 
 
 def _as_complex_sequence(values) -> np.ndarray:

@@ -69,6 +69,10 @@ class LinkConfig:
             raise ValueError(f"unknown waveform {self.waveform!r}")
         if not self.ebn0_grid_db:
             raise ValueError("ebn0_grid_db must be nonempty")
+        if not np.all(np.isfinite(self.ebn0_grid_db)):
+            raise ValueError("ebn0_grid_db must be finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.min_bits < 10_000:
             raise ValueError("min_bits must be >= 10000")
         if self.min_errors < 1 or self.max_frames < 1:

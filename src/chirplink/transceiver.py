@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import numerics
-from .fdss import FdssFilter, UNIT_AVERAGE_POWER
+from .fdss import FdssFilter
 
 
 @dataclass(frozen=True)
@@ -132,8 +132,6 @@ def modulate(data: DataFrame, filt: FdssFilter, cfg: FrameConfig) -> TxSignal:
     """
     if filt.m != cfg.subcarriers:
         raise ValueError("filter band does not match the frame configuration")
-    if filt.normalization != UNIT_AVERAGE_POWER:
-        raise ValueError("modulate expects a unit-average-power filter")
     d = np.asarray(data.symbols, dtype=complex)
     if len(d) != cfg.symbols_per_frame:
         raise ValueError(f"expected {cfg.symbols_per_frame} symbols, got {len(d)}")

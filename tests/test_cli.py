@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from chirplink import cli
+from chirplink.channel import ChannelProfile
 from chirplink.fdss import load_filter_csv
-from chirplink.simulation import design_filter
+from chirplink.simulation import LinkConfig, design_filter
 
 BASE_CONFIG = """\
 waveform: {waveform}
@@ -24,6 +25,23 @@ sweep:
   max_frames: 4000
   seed: 11
 """
+
+
+# One invalid value each; all must fail at the config boundary.
+INVALID_CONFIGS = {
+    "repetition_not_dividing_m": BASE_CONFIG.replace("repetition: 1", "repetition: 5"),
+    "negative_seed": BASE_CONFIG.replace("seed: 11", "seed: -1"),
+    "deviation_above_m": BASE_CONFIG.replace("{waveform}", "sinusoidal").replace(
+        "deviation: 318.0", "deviation: 400"
+    ),
+    "too_few_harmonics": BASE_CONFIG.replace("{waveform}", "triangular") + "n_harmonics: 5\n",
+    "subcarriers_above_idft": BASE_CONFIG.replace("subcarriers: 336", "subcarriers: 600"),
+    "mismatched_taps": BASE_CONFIG.replace(
+        "type: awgn", "type: multipath\n  tap_powers_db: [0.0, -10.0]\n  tap_delays: [0, 1, 2]"
+    ),
+    "nan_ebn0": BASE_CONFIG.replace("ebn0_db: [5.0, 6.0]", "ebn0_db: [5.0, .nan]"),
+    "inf_ebn0": BASE_CONFIG.replace("ebn0_db: [5.0, 6.0]", "ebn0_db: [.inf]"),
+}
 
 
 @pytest.fixture
@@ -125,6 +143,11 @@ class TestBer:
         assert cfg.waveform == "plain"
         assert cfg.min_errors == 100
 
+    def test_unset_keys_take_dataclass_defaults(self):
+        raw = {"waveform": "triangular", "channel": {"type": "multipath"}, "sweep": {"seed": 3}}
+        cfg = cli.link_config_from(raw)
+        assert cfg == LinkConfig(waveform="triangular", channel_profile=ChannelProfile(), seed=3)
+
 
 class TestAnalyze:
     def test_snrpost_identity_for_plain(self, plain_config, tmp_path):
@@ -163,6 +186,15 @@ class TestAnalyze:
         assert set(rows) == {"plain", "linear", "sinusoidal", "triangular"}
         assert float(rows["sinusoidal"][1]) < float(rows["linear"][1])
 
+    def test_papr_checks_every_waveform_design(self, tmp_path, capsys):
+        # the config's own plain filter is fine; the triangular one is not
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(BASE_CONFIG.format(waveform="plain") + "n_harmonics: 5\n")
+        rc = cli.main(["analyze", "--config", str(cfg), "--mode", "papr",
+                       "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_unknown_mode_rejected(self, plain_config, tmp_path):
         rc = cli.main(["analyze", "--config", str(plain_config),
                        "--mode", "wigner", "--out", str(tmp_path / "x.csv")])
@@ -185,6 +217,13 @@ class TestConfigValidation:
         assert rc == 1
         assert "jitter" in capsys.readouterr().err
 
+    def test_float_for_integer_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(BASE_CONFIG.format(waveform="plain").replace("seed: 11", "seed: 11.0"))
+        rc = cli.main(["ber", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert "sweep/seed" in capsys.readouterr().err
+
     def test_malformed_yaml(self, tmp_path):
         cfg = tmp_path / "broken.yaml"
         cfg.write_text("waveform: [unclosed\n")
@@ -194,6 +233,16 @@ class TestConfigValidation:
         rc = cli.main(["ber", "--config", str(tmp_path / "none.yaml"),
                        "--out", str(tmp_path / "x.csv")])
         assert rc == 1
+
+    @pytest.mark.parametrize("case", sorted(INVALID_CONFIGS))
+    def test_invalid_value_is_a_usage_error(self, case, tmp_path, capsys):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(INVALID_CONFIGS[case].replace("{waveform}", "plain"))
+        rc = cli.main(["ber", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
     def test_usage_error_exit_code(self):
         assert cli.main(["design"]) == 1  # missing required flags

@@ -216,5 +216,8 @@ class TestFilterInvariants:
         np.testing.assert_array_equal(back.coeffs, filt.coeffs)
 
     def test_raw_power_bound_validated(self):
-        with pytest.raises(ValueError):
-            fdss.FdssFilter(np.full(4, 2.0, dtype=complex), 4, fdss.RAW_FOURIER)
+        # every filter is unit-average-power: sum |c|^2 must equal m
+        fdss.FdssFilter(np.ones(4, dtype=complex), 4)  # ok
+        for coeffs in (np.full(4, 2.0), np.full(4, 0.5), np.array([1.0, 1.0, 1.0, 1.0 + 1e-6])):
+            with pytest.raises(ValueError):
+                fdss.FdssFilter(coeffs.astype(complex), 4)

@@ -60,10 +60,11 @@ class TestBessel:
         assert total <= 1.0 + 1e-12
 
     def test_sequence_matches_scalar(self):
-        # recurrence depth differs between the two paths; agreement to roundoff
-        seq = numerics.bessel_j_sequence(40, 25.0)
-        for k in (0, 1, 13, 40):
-            assert abs(seq[k] - bessel_j(k, 25.0)) < 1e-14
+        # x on both sides of 10, where a series/recurrence split would sit
+        for x in (0.5, 9.9, 10.0, 10.1, 25.0):
+            seq = numerics.bessel_j_sequence(40, x)
+            for k in (0, 1, 13, 40):
+                assert abs(seq[k] - bessel_j(k, x)) < 1e-14
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -72,6 +73,13 @@ class TestBessel:
             bessel_j(0, np.inf)
         with pytest.raises(ValueError):
             bessel_j(2, 2e6)
+
+    def test_sequence_domain_errors(self):
+        for x in (np.nan, np.inf, -0.5, 2e6):
+            with pytest.raises(ValueError):
+                numerics.bessel_j_sequence(3, x)
+        with pytest.raises(ValueError):
+            numerics.bessel_j_sequence(-1, 1.0)
 
 
 class TestFresnel:
@@ -119,6 +127,26 @@ class TestFresnel:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             fresnel(np.inf)
+        with pytest.raises(ValueError):
+            fresnel(np.array([0.5, np.nan]))
+
+    def test_array_matches_scalar(self):
+        x = np.array([-50.0, -3.7, -0.4, 0.0, 0.15, 1.0, 2.7, 500.0])
+        c, s = fresnel(x)
+        assert c.shape == s.shape == x.shape
+        for xi, ci, si in zip(x, c, s):
+            assert (ci, si) == fresnel(float(xi))
+
+    def test_array_odd_symmetry_exact(self):
+        x = np.linspace(0.0, 60.0, 242).reshape(11, -1)
+        c, s = fresnel(x)
+        cm, sm = fresnel(-x)
+        np.testing.assert_array_equal(cm, -c)
+        np.testing.assert_array_equal(sm, -s)
+
+    def test_scalar_gives_floats(self):
+        c, s = fresnel(np.float64(1.0))
+        assert type(c) is float and type(s) is float
 
 
 class TestDft:

@@ -41,6 +41,16 @@ class TestLinkConfig:
         with pytest.raises(ValueError):
             LinkConfig(channel_profile=ChannelProfile((0.0,), 10.0, (200,)))
 
+    @pytest.mark.parametrize("field, value", [
+        ("ebn0_grid_db", (4.0, float("nan"))),
+        ("ebn0_grid_db", (float("inf"),)),
+        ("ebn0_grid_db", (float("-inf"), 4.0)),
+        ("seed", -1),
+    ])
+    def test_rejection_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            LinkConfig(**{field: value})
+
 
 class TestSweep:
     def test_deterministic_and_matches_theory(self):
