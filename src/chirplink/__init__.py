@@ -22,7 +22,7 @@ from .fdss import (
     load_filter_csv,
     triangular_trajectory,
 )
-from .numerics import IndexedSequence, bessel_j, convolve_full, dft, fresnel
+from .numerics import bessel_j, convolve_full, dft, fresnel
 from .simulation import BerCurve, BerPoint, LinkConfig, ebn0_to_subcarrier_snr, run_ber_sweep
 from .transceiver import DataFrame, FrameConfig, TxSignal, demodulate, modulate, qpsk_demap, qpsk_map
 
@@ -36,7 +36,6 @@ __all__ = [
     "DataFrame",
     "FdssFilter",
     "FrameConfig",
-    "IndexedSequence",
     "LinkConfig",
     "SnrPostReport",
     "TxSignal",

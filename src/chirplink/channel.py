@@ -9,6 +9,7 @@ one.  A realization is held constant over a symbol and redrawn per frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,10 +59,20 @@ class ChannelRealization:
 
     def __post_init__(self):
         taps = np.asarray(self.taps, dtype=complex)
+        delays = tuple(int(d) for d in self.delays)
         if not np.all(np.isfinite(taps)):
             raise ValueError("taps must be finite")
+        if taps.shape != (len(delays),) or not delays or min(delays) < 0:
+            raise ValueError("need one non-negative delay per tap")
         object.__setattr__(self, "taps", taps)
-        object.__setattr__(self, "delays", tuple(int(d) for d in self.delays))
+        object.__setattr__(self, "delays", delays)
+
+    @cached_property
+    def impulse(self) -> np.ndarray:
+        """Impulse response over delays 0 .. max delay (taps summed per delay)."""
+        h = np.zeros(max(self.delays) + 1, dtype=complex)
+        np.add.at(h, list(self.delays), self.taps)
+        return h
 
 
 def draw(profile: ChannelProfile, rng: np.random.Generator) -> ChannelRealization:
@@ -73,15 +84,11 @@ def draw(profile: ChannelProfile, rng: np.random.Generator) -> ChannelRealizatio
     """
     p = profile.tap_powers
     k = profile.rician_k
-    taps = np.empty(len(p), dtype=complex)
-    scatter = np.sqrt(p[0] / (k + 1.0) / 2.0)
-    taps[0] = np.sqrt(p[0] * k / (k + 1.0)) + scatter * (
-        rng.standard_normal() + 1j * rng.standard_normal()
-    )
-    for i in range(1, len(p)):
-        taps[i] = np.sqrt(p[i] / 2.0) * (
-            rng.standard_normal() + 1j * rng.standard_normal()
-        )
+    scale = np.sqrt(p / 2.0)
+    scale[0] = np.sqrt(p[0] / (k + 1.0) / 2.0)
+    normals = rng.standard_normal((len(p), 2))
+    taps = scale * (normals[:, 0] + 1j * normals[:, 1])
+    taps[0] += np.sqrt(p[0] * k / (k + 1.0))
     return ChannelRealization(taps, profile.tap_delays)
 
 
@@ -96,12 +103,7 @@ def apply(
     x = np.asarray(signal, dtype=complex)
     if len(x) < ch.delays[-1]:
         raise ValueError("signal shorter than the channel memory")
-    y = np.zeros_like(x)
-    for tap, delay in zip(ch.taps, ch.delays):
-        if delay == 0:
-            y += tap * x
-        else:
-            y[delay:] += tap * x[: len(x) - delay]
+    y = np.convolve(x, ch.impulse)[: len(x)]
     if noise_var > 0:
         scale = np.sqrt(noise_var / 2.0)
         y = y + scale * (rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x)))
@@ -114,8 +116,6 @@ def freq_response(ch: ChannelRealization, n: int) -> np.ndarray:
     For any frame whose CP covers the channel memory, the DFT of the
     channel output equals H_k times the DFT of the body bin by bin.
     """
-    k = np.arange(n)
-    h = np.zeros(n, dtype=complex)
-    for tap, delay in zip(ch.taps, ch.delays):
-        h += tap * np.exp(-2j * np.pi * k * delay / n)
-    return h
+    if n <= max(ch.delays):
+        raise ValueError(f"need n > the channel memory {max(ch.delays)}, got n = {n}")
+    return np.fft.fft(ch.impulse, n)

@@ -137,10 +137,9 @@ def build_run(raw: dict) -> tuple[LinkConfig, FdssFilter]:
     """
     try:
         cfg = link_config_from(raw)
-        filt = design_filter(cfg.waveform, cfg.deviation, cfg.frame.subcarriers, cfg.n_harmonics)
+        return cfg, cfg.filter
     except ValueError as exc:
         raise UsageError(f"invalid config: {exc}") from exc
-    return cfg, filt
 
 
 def _echo_header(raw: dict) -> str:

@@ -9,13 +9,15 @@ a bank of M circularly time-shifted chirps.  This module provides:
 * ``design_sinusoidal``  closed form via Bessel functions of the first kind,
 * ``design_linear``      closed form via Fresnel integrals,
 * ``design_arbitrary``   any periodic frequency trajectory, by convolving
-  upsampled Bessel coefficient sequences (one pair per trajectory harmonic),
+  upsampled Bessel coefficient sequences (one per trajectory harmonic),
 * ``triangular_trajectory``  the classic down/up triangular sweep.
 
 Every design returns coefficients rescaled to ``sum |c_k|^2 = M`` so that
 filters of different shapes are power-comparable and the all-ones filter
 is the exact no-shaping case.  The fraction of chirp energy falling
-outside the occupied band (truncation loss) is recorded on the filter.
+outside the occupied band (truncation loss) is recorded on the filter: a
+chirp has unit modulus, so by Parseval its Fourier coefficients carry unit
+energy, and the loss is one minus the in-band energy.
 """
 
 from __future__ import annotations
@@ -134,15 +136,15 @@ def design_plain(m: int) -> FdssFilter:
     return FdssFilter(np.ones(m, dtype=complex), m)
 
 
-def _from_fourier(raw: np.ndarray, m: int, total: float) -> FdssFilter:
-    """Rescale in-band Fourier coefficients to ``sum |c|^2 = m``.
+def _from_fourier(raw: np.ndarray, m: int) -> FdssFilter:
+    """Rescale in-band Fourier coefficients of a chirp to ``sum |c|^2 = m``.
 
-    ``total`` is the chirp energy over all subcarriers; the part outside
-    the band is recorded as the truncation loss.
+    The chirp's coefficients over all subcarriers carry unit energy
+    (Parseval), so the in-band energy's shortfall from 1 is the truncation
+    loss.
     """
     power = float(np.sum(np.abs(raw) ** 2))
-    loss = max(0.0, total - power)
-    return FdssFilter(raw * np.sqrt(m / power), m, truncation_loss=loss)
+    return FdssFilter(raw * np.sqrt(m / power), m, truncation_loss=max(0.0, 1.0 - power))
 
 
 def _check_deviation(deviation: float, m: int) -> None:
@@ -167,11 +169,7 @@ def design_sinusoidal(deviation: float, m: int) -> FdssFilter:
     seq = numerics.bessel_j_sequence(max_abs, z)
     ks = np.arange(lo, hi + 1)
     raw = seq[np.abs(ks)] * np.where((ks < 0) & (ks % 2 != 0), -1.0, 1.0)
-    # Out-of-band energy via the sum rule: J_0^2 + 2 sum J_k^2 = 1.
-    tail_order = int(np.ceil(z)) + 80
-    full = numerics.bessel_j_sequence(tail_order, z)
-    total = full[0] ** 2 + 2.0 * np.sum(full[1:] ** 2)
-    return _from_fourier(raw, m, total)
+    return _from_fourier(raw, m)
 
 
 def design_linear(deviation: float, m: int) -> FdssFilter:
@@ -196,7 +194,7 @@ def design_linear(deviation: float, m: int) -> FdssFilter:
     c2, s2 = numerics.fresnel((d + 2 * ks) / np.sqrt(2 * d))
     phase = np.exp(-1j * np.pi * d / 4) * np.exp(-1j * np.pi * ks) * np.exp(-1j * np.pi * ks**2 / d)
     raw = phase / np.sqrt(2 * d) * ((c1 + c2) + 1j * (s1 + s2))
-    return _from_fourier(raw, m, 1.0)
+    return _from_fourier(raw, m)
 
 
 @dataclass(frozen=True)
@@ -292,55 +290,51 @@ def triangular_phase_profile(x, down_first: bool = True) -> np.ndarray:
     return f if down_first else -f
 
 
-def _harmonic_factor(harmonic: int, bessel_arg: float, cosine: bool):
-    """Indexed coefficient sequence of exp(j z cos(n x)) or exp(j z sin(n x)).
+def _harmonic_factor(harmonic: int, z: float, phi: float) -> np.ndarray:
+    """Centred coefficient array of exp(j z sin(n x + phi)), z >= 0.
 
-    The order-m Bessel coefficient sits at subcarrier index n*m (the series
-    in x has period 2*pi/n, so its spectrum lives on multiples of n), with
-    an extra j^m twist for the cosine case.
+    By the Jacobi-Anger expansion the order-m coefficient is J_m(z) e^{j m phi};
+    it sits at subcarrier index n*m (the factor has period 2*pi/n, so its
+    spectrum lives on multiples of n).  Orders whose |J_m(z)| falls below
+    ``BESSEL_TAIL_EPS`` are cut.
     """
-    z = abs(bessel_arg)
     max_order = int(np.ceil(z)) + 40 + int(6 * z ** (1 / 3))
     seq = numerics.bessel_j_sequence(max_order, z)
-    if bessel_arg < 0:
-        seq = seq * np.where(np.arange(max_order + 1) % 2 == 1, -1.0, 1.0)
     keep = np.nonzero(np.abs(seq) >= BESSEL_TAIL_EPS)[0]
     m_max = int(keep[-1]) if len(keep) else 0
     orders = np.arange(-m_max, m_max + 1)
     vals = seq[np.abs(orders)] * np.where((orders < 0) & (orders % 2 != 0), -1.0, 1.0)
-    vals = vals.astype(complex)
-    if cosine:
-        vals *= np.array([1, 1j, -1, -1j])[np.mod(orders, 4)]
-    lo = -m_max * harmonic
     out = np.zeros(2 * m_max * harmonic + 1, dtype=complex)
-    out[orders * harmonic - lo] = vals
-    return numerics.IndexedSequence(out, lo)
+    out[(orders + m_max) * harmonic] = vals * np.exp(1j * phi * orders)
+    return out
 
 
 def design_arbitrary(traj: ChirpTrajectory, m: int) -> FdssFilter:
     """Shaping filter for an arbitrary periodic trajectory.
 
-    The chirp exponential factors over the trajectory harmonics, each factor
-    contributing an upsampled Bessel coefficient sequence; the filter is the
-    convolution of all factor sequences restricted to the occupied band.
-    Harmonics whose Bessel argument is below ``HARMONIC_SKIP_EPS`` act as
-    Kronecker deltas and are skipped.  The energy lost by restricting to the
-    band is reported as ``truncation_loss`` so callers can detect overflow.
+    The chirp exponential factors over the trajectory harmonics.  Harmonic n
+    contributes exp(j (D/2)(a_n cos nx + b_n sin nx)) = exp(j z sin(nx + phi))
+    with z = (D/2) hypot(a_n, b_n) and phi = atan2(a_n, b_n): one upsampled
+    Bessel coefficient sequence.  The filter is the convolution of all factor
+    sequences restricted to the occupied band.  Harmonics whose z is below
+    ``HARMONIC_SKIP_EPS`` act as Kronecker deltas and are skipped.  The
+    energy lost by restricting to the band (one minus the in-band energy, by
+    Parseval) is reported as ``truncation_loss`` so callers can detect
+    overflow.
     """
     _check_deviation(traj.deviation, m)
     half_dev = traj.deviation / 2.0
-    seq = numerics.IndexedSequence(np.ones(1, dtype=complex), 0)
-    for n in range(1, traj.n_harmonics + 1):
-        for coeff, cosine in ((traj.cos_coeffs[n - 1], True), (traj.sin_coeffs[n - 1], False)):
-            if abs(coeff) * half_dev < HARMONIC_SKIP_EPS:
-                continue
-            seq = numerics.convolve_full(seq, _harmonic_factor(n, coeff * half_dev, cosine))
+    seq = np.ones(1, dtype=complex)
+    for n, (a, b) in enumerate(zip(traj.cos_coeffs, traj.sin_coeffs), start=1):
+        z = half_dev * np.hypot(a, b)
+        if z < HARMONIC_SKIP_EPS:
+            continue
+        seq = numerics.convolve_full(seq, _harmonic_factor(n, z, np.arctan2(a, b)))
     phase = np.exp(1j * traj.deviation * traj.a0 / 4.0)
     lo, hi = band_limits(m)
-    # Zero-pad the sequence so it covers the band, then cut the band out.
-    pad = max(0, seq.start - lo, hi + 1 - seq.stop)
-    values = np.pad(seq.values, pad)
-    first = lo - seq.start + pad
-    raw = phase * values[first : first + m]
-    total = float(np.sum(np.abs(seq.values) ** 2))
-    return _from_fourier(raw, m, total)
+    # seq is centred on index 0; zero-pad it to cover the band, then cut the band out.
+    half = len(seq) // 2
+    pad = max(0, max(-lo, hi) - half)
+    centre = half + pad
+    raw = phase * np.pad(seq, pad)[centre + lo : centre + hi + 1]
+    return _from_fourier(raw, m)

@@ -12,11 +12,12 @@ arrays, and follow the pi/2-normalized convention
 
 which is the convention that makes the linear-chirp shaping closed form
 agree with a direct Fourier-integral evaluation.
+
+``dft`` fixes the transform scaling and ``convolve_full`` multiplies two
+Fourier series given as coefficient arrays centred on index 0.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _special
@@ -74,54 +75,21 @@ def fresnel(x):
     return c, s
 
 
-def _as_complex_sequence(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=complex)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("expected a one-dimensional sequence of length >= 1")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("sequence contains non-finite values")
-    return arr
-
-
 def dft(values, inverse: bool = False) -> np.ndarray:
     """DFT with the unnormalized-forward convention.
 
     Forward: X_k = sum_n x_n exp(-j 2 pi k n / L).
     Inverse: x_n = (1/L) sum_k X_k exp(+j 2 pi k n / L).
+    Callers check their inputs where they enter the package.
     """
-    arr = _as_complex_sequence(values)
-    return np.fft.ifft(arr) if inverse else np.fft.fft(arr)
+    return np.fft.ifft(values) if inverse else np.fft.fft(values)
 
 
-@dataclass(frozen=True)
-class IndexedSequence:
-    """Finite complex sequence with an explicit integer start index.
+def convolve_full(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Linear (aperiodic) convolution of two centred coefficient arrays.
 
-    ``values[i]`` is the coefficient at index ``start + i``; everything
-    outside the stored span is implicitly zero.
+    A centred array of odd length L holds the coefficients at indices
+    -(L-1)/2 .. (L-1)/2.  The output, of length ``len(a) + len(b) - 1``,
+    is centred again: its start index is the sum of the input start indices.
     """
-
-    values: np.ndarray
-    start: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _as_complex_sequence(self.values))
-
-    @property
-    def stop(self) -> int:
-        """One past the last stored index."""
-        return self.start + len(self.values)
-
-    def at(self, index: int) -> complex:
-        if self.start <= index < self.stop:
-            return complex(self.values[index - self.start])
-        return 0j
-
-
-def convolve_full(a: IndexedSequence, b: IndexedSequence) -> IndexedSequence:
-    """Linear (aperiodic) convolution of two indexed sequences.
-
-    Output start index is the sum of the input start indices; output
-    length is ``len(a) + len(b) - 1``.
-    """
-    return IndexedSequence(np.convolve(a.values, b.values), a.start + b.start)
+    return np.convolve(a, b)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -82,6 +83,11 @@ class LinkConfig:
                 raise ValueError("channel memory exceeds the cyclic prefix")
         object.__setattr__(self, "ebn0_grid_db", tuple(float(e) for e in self.ebn0_grid_db))
 
+    @cached_property
+    def filter(self) -> fdss.FdssFilter:
+        """The shaping filter this configuration names, designed on first use."""
+        return design_filter(self.waveform, self.deviation, self.frame.subcarriers, self.n_harmonics)
+
 
 @dataclass(frozen=True)
 class BerPoint:
@@ -118,7 +124,7 @@ class BerCurve:
         f = cfg.frame
         buf.write(
             f"# frame: subcarriers={f.subcarriers} idft_size={f.idft_size}"
-            f" cp_len={f.cp_len} repetition={f.repetition} constellation={f.constellation}\n"
+            f" cp_len={f.cp_len} repetition={f.repetition} constellation=qpsk\n"
         )
         if cfg.channel_profile is None:
             buf.write("# channel: awgn\n")
@@ -215,7 +221,7 @@ def run_ber_sweep(cfg: LinkConfig) -> BerCurve:
     Under-converged points (fewer than ``min_errors`` errors when
     ``max_frames`` ran out) are flagged on the curve, not raised.
     """
-    filt = design_filter(cfg.waveform, cfg.deviation, cfg.frame.subcarriers, cfg.n_harmonics)
+    filt = cfg.filter
     streams = np.random.SeedSequence(cfg.seed).spawn(len(cfg.ebn0_grid_db))
     points = tuple(
         _simulate_point(cfg, filt, ebn0, np.random.default_rng(stream))

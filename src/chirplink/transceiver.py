@@ -25,7 +25,6 @@ Conventions fixed here because they matter for reproducibility:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -46,7 +45,6 @@ class FrameConfig:
     idft_size: int = 512
     cp_len: int = 96
     repetition: int = 1
-    constellation: str = "qpsk"
 
     def __post_init__(self):
         if self.subcarriers < 1 or self.subcarriers > self.idft_size:
@@ -55,8 +53,6 @@ class FrameConfig:
             raise ValueError("need 0 <= cp_len < idft_size")
         if self.repetition < 1 or self.subcarriers % self.repetition:
             raise ValueError("repetition must divide the subcarrier count")
-        if self.constellation != "qpsk":
-            raise ValueError(f"unsupported constellation {self.constellation!r}")
 
     @property
     def symbols_per_frame(self) -> int:
@@ -73,18 +69,16 @@ class FrameConfig:
 
 @dataclass(frozen=True)
 class DataFrame:
-    """Payload of one symbol: the complex data and (optionally) its bits."""
+    """Payload of one symbol: its complex data symbols."""
 
     symbols: np.ndarray
-    bits: Optional[np.ndarray] = None
 
     def __post_init__(self):
         object.__setattr__(self, "symbols", np.asarray(self.symbols, dtype=complex))
 
     @classmethod
     def from_bits(cls, bits) -> "DataFrame":
-        bits = np.asarray(bits, dtype=int)
-        return cls(qpsk_map(bits), bits)
+        return cls(qpsk_map(bits))
 
 
 @dataclass(frozen=True)
@@ -135,6 +129,8 @@ def modulate(data: DataFrame, filt: FdssFilter, cfg: FrameConfig) -> TxSignal:
     d = np.asarray(data.symbols, dtype=complex)
     if len(d) != cfg.symbols_per_frame:
         raise ValueError(f"expected {cfg.symbols_per_frame} symbols, got {len(d)}")
+    if not np.all(np.isfinite(d)):
+        raise ValueError("data symbols must be finite")
     n, m = cfg.idft_size, cfg.subcarriers
     spread = np.tile(numerics.dft(d), cfg.repetition)  # M-point DFT of the sparse input
     ks = filt.subcarriers
@@ -164,7 +160,8 @@ def demodulate(
         ``filt.subcarriers`` (genie knowledge; all-ones for AWGN).
     noise_var : float
         Per-subcarrier noise variance at the equalizer plane; ``1/noise_var``
-        is the per-subcarrier SNR.  Zero selects the zero-forcing limit.
+        is the per-subcarrier SNR.  Zero selects the zero-forcing limit,
+        which needs a nonzero combined gain on every bin.
 
     Returns
     -------
@@ -177,13 +174,17 @@ def demodulate(
         raise ValueError("rx must be a nonempty sample vector")
     if len(rx) != cfg.samples_per_frame:
         raise ValueError(f"expected {cfg.samples_per_frame} samples, got {len(rx)}")
+    if not np.all(np.isfinite(rx)):
+        raise ValueError("rx must be finite")
     if filt.m != cfg.subcarriers:
         raise ValueError("filter band does not match the frame configuration")
-    if noise_var < 0:
-        raise ValueError("noise_var must be >= 0")
+    if not (np.isfinite(noise_var) and noise_var >= 0):
+        raise ValueError(f"noise_var must be finite and >= 0, got {noise_var}")
     h = np.asarray(channel_freq, dtype=complex)
     if h.shape != (cfg.subcarriers,):
         raise ValueError("channel_freq must cover the occupied band")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("channel_freq must be finite")
     n, m, r = cfg.idft_size, cfg.subcarriers, cfg.repetition
     ks = filt.subcarriers
     spectrum = numerics.dft(rx[cfg.cp_len :])
@@ -193,6 +194,11 @@ def demodulate(
     per_group = m // r
     combined = (np.conj(gain) * band).reshape(r, per_group).sum(axis=0)
     combined_gain = (np.abs(gain) ** 2).reshape(r, per_group).sum(axis=0)
+    if noise_var == 0 and not np.all(combined_gain > 0):
+        raise ValueError(
+            "noise_var = 0 (zero-forcing) needs nonzero combined gain on every bin;"
+            f" {int(np.sum(combined_gain == 0))} of {per_group} bins have none"
+        )
     equalized = combined / (combined_gain + noise_var)
     # Despread: subcarrier kappa carries bin kappa mod (M/R) of the data DFT.
     kappa = ks[:per_group]

@@ -55,6 +55,21 @@ class TestDraw:
         b = channel.draw(p, np.random.default_rng(42))
         np.testing.assert_array_equal(a.taps, b.taps)
 
+    def test_stream_pinned(self):
+        # Frozen first draw for seed 2024: two normals per tap, taps in order.
+        ch = channel.draw(ChannelProfile(), np.random.default_rng(2024))
+        expect = [
+            1.1131873154828842 + 0.3322608516580539j,
+            0.2433776659194326 - 0.20654584916690297j,
+            -0.09347862183860117 + 0.004509924059427851j,
+        ]
+        np.testing.assert_allclose(ch.taps, expect, rtol=0, atol=1e-15)
+
+    def test_realization_validation(self):
+        for taps, delays in (([1.0, 0.5], (0,)), ([1.0], (-1,)), ([], ())):
+            with pytest.raises(ValueError):
+                ChannelRealization(np.array(taps, dtype=complex), delays)
+
 
 class TestApply:
     def test_identity_channel(self):
@@ -102,6 +117,11 @@ class TestFreqResponse:
         lhs = np.fft.fft(out[cp:])
         rhs = channel.freq_response(ch, n) * np.fft.fft(body)
         assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.max(np.abs(rhs)))
+
+    def test_transform_shorter_than_memory_rejected(self):
+        ch = ChannelRealization(np.array([1.0, 0.5], dtype=complex), (0, 4))
+        with pytest.raises(ValueError, match="channel memory"):
+            channel.freq_response(ch, 4)
 
     def test_memory_longer_than_signal_rejected(self):
         ch = ChannelRealization(np.array([1.0, 0.5], dtype=complex), (0, 40))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from chirplink import cli
+from chirplink import cli, fdss
 from chirplink.channel import ChannelProfile
 from chirplink.fdss import load_filter_csv
 from chirplink.simulation import LinkConfig, design_filter
@@ -136,6 +136,18 @@ class TestBer:
         rc = cli.main(["ber", "--config", str(cfg), "--out", str(tmp_path / "uc.csv")])
         assert rc == 2
         assert "under_converged_ebn0_db: 11" in (tmp_path / "uc.csv").read_text()
+
+    def test_triangular_filter_designed_once(self, tmp_path, monkeypatch):
+        calls = []
+        design = fdss.design_arbitrary
+        monkeypatch.setattr(fdss, "design_arbitrary", lambda *a: calls.append(a) or design(*a))
+        cfg = tmp_path / "tri.yaml"
+        cfg.write_text(BASE_CONFIG.format(waveform="triangular").replace(
+            "ebn0_db: [5.0, 6.0]", "ebn0_db: [20.0]").replace(
+            "max_frames: 4000", "max_frames: 5"))
+        rc = cli.main(["ber", "--config", str(cfg), "--out", str(tmp_path / "tri.csv")])
+        assert rc == cli.EXIT_UNDERCONVERGED
+        assert len(calls) == 1
 
     def test_shipped_config_is_valid(self, tmp_path):
         raw = cli.load_config("configs/awgn_plain_r1.yaml")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from chirplink import analysis, fdss
@@ -160,6 +162,19 @@ class TestArbitrary:
         derotated = filt.coeffs * np.array([1, -1j, -1, 1j])[np.mod(ks, 4)]
         np.testing.assert_allclose(derotated.imag, 0.0, atol=1e-9)
         np.testing.assert_allclose(derotated.real, ref, atol=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(theta=st.floats(-np.pi, np.pi, exclude_min=True))
+    def test_one_harmonic_against_oversampled_oracle(self, theta):
+        # (a, b) = (cos, sin) of any angle: one factor J_m(z) e^{j m phi}, any signs
+        a, b, dev, m = np.cos(theta), np.sin(theta), 40.0, 64
+        filt = design_arbitrary(ChirpTrajectory(0.0, np.array([a]), np.array([b]), dev), m)
+        oversample = 16 * m
+        x = 2 * np.pi * np.arange(oversample) / oversample
+        oracle = np.fft.fft(np.exp(0.5j * dev * (a * np.cos(x) + b * np.sin(x)))) / oversample
+        oracle = oracle[filt.subcarriers % oversample]
+        oracle *= np.sqrt(m / np.sum(np.abs(oracle) ** 2))
+        assert np.max(np.abs(filt.coeffs - oracle)) < 1e-9
 
     def test_constant_phase_term(self):
         base = ChirpTrajectory(0.0, np.zeros(1), np.array([1.0]), 10.0)

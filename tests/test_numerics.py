@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 
 from chirplink import numerics
-from chirplink.numerics import IndexedSequence, bessel_j, convolve_full, dft, fresnel
+from chirplink.numerics import bessel_j, convolve_full, dft, fresnel
 
 
 def bessel_oracle(order: int, x: float) -> float:
@@ -178,44 +178,34 @@ class TestDft:
         freq_power = np.sum(np.abs(dft(x)) ** 2) / length
         assert abs(time_power - freq_power) <= 1e-10 * time_power
 
-    def test_rejects_empty_and_nonfinite(self):
+    def test_rejects_empty(self):
         with pytest.raises(ValueError):
             dft([])
-        with pytest.raises(ValueError):
-            dft([1.0, np.nan])
 
 
 class TestConvolveFull:
+    """Centred arrays: length L holds the coefficients at -(L-1)/2 .. (L-1)/2."""
+
     def test_identity(self):
         rng = np.random.default_rng(3)
-        a = IndexedSequence(rng.standard_normal(9) + 1j * rng.standard_normal(9), start=-4)
-        delta = IndexedSequence(np.ones(1), start=0)
-        out = convolve_full(a, delta)
-        assert out.start == a.start
-        np.testing.assert_array_equal(out.values, a.values)
+        a = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        out = convolve_full(a, np.ones(1))
+        np.testing.assert_array_equal(out, a)
 
     def test_start_index_arithmetic(self):
-        a = IndexedSequence(np.ones(3), start=-2)
-        b = IndexedSequence(np.ones(4), start=-3)
-        out = convolve_full(a, b)
-        assert out.start == -5
-        assert len(out.values) == 6
+        # start indices -1 and -2 add to -3, the start of a centred length-7 array
+        out = convolve_full(np.ones(3), np.ones(5))
+        assert len(out) == 7
+        np.testing.assert_array_equal(out, [1, 2, 3, 3, 3, 2, 1])
 
     def test_against_double_loop_oracle(self):
         rng = np.random.default_rng(11)
-        a = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        a = rng.standard_normal(7) + 1j * rng.standard_normal(7)
         b = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        # coefficient at index i + j of the product is the sum of a_i b_j
         expect = np.zeros(len(a) + len(b) - 1, dtype=complex)
-        for i, av in enumerate(a):
-            for j, bv in enumerate(b):
-                expect[i + j] += av * bv
-        out = convolve_full(IndexedSequence(a, 2), IndexedSequence(b, -7))
-        assert out.start == -5
-        assert np.max(np.abs(out.values - expect)) < 1e-13
-
-    def test_at_accessor(self):
-        seq = IndexedSequence(np.array([1.0, 2.0, 3.0]), start=-1)
-        assert seq.at(-1) == 1.0
-        assert seq.at(1) == 3.0
-        assert seq.at(2) == 0j
-        assert seq.at(-5) == 0j
+        for i in range(-3, 4):
+            for j in range(-4, 5):
+                expect[i + j + 7] += a[i + 3] * b[j + 4]
+        out = convolve_full(a, b)
+        assert np.max(np.abs(out - expect)) < 1e-13

@@ -210,6 +210,47 @@ class TestDemodulate:
             )
 
 
+class TestBoundaryValidation:
+    """Each input is checked once where it enters; the rejection names it."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_nonfinite_inputs_named(self, bad):
+        filt = ALL_FILTERS["plain"]
+        rx = np.ones(CFG.samples_per_frame, complex)
+        h = np.ones(M, complex)
+        with pytest.raises(ValueError, match="^data symbols"):
+            modulate(single_symbol_frame(3, value=bad), filt, CFG)
+        rx_bad = rx.copy()
+        rx_bad[100] = bad
+        with pytest.raises(ValueError, match="^rx "):
+            demodulate(rx_bad, h, filt, CFG, 0.1)
+        h_bad = h.copy()
+        h_bad[5] = bad
+        with pytest.raises(ValueError, match="^channel_freq "):
+            demodulate(rx, h_bad, filt, CFG, 0.1)
+
+    @pytest.mark.parametrize("noise_var", [-0.1, -np.inf, np.inf, np.nan])
+    def test_bad_noise_var_named(self, noise_var):
+        rx = np.ones(CFG.samples_per_frame, complex)
+        with pytest.raises(ValueError, match="^noise_var "):
+            demodulate(rx, np.ones(M, complex), ALL_FILTERS["plain"], CFG, noise_var)
+
+    def test_zero_forcing_on_zero_gain_bins_rejected(self):
+        filt = design_sinusoidal(1.0, M)
+        assert np.sum(filt.coeffs == 0) == 81
+        tx = modulate(DataFrame.from_bits(np.zeros(CFG.bits_per_frame, int)), filt, CFG)
+        with pytest.raises(ValueError, match="^noise_var = 0"):
+            demodulate(tx.samples, np.ones(M, complex), filt, CFG, 0.0)
+
+    def test_zero_forcing_round_trip_flat_filter(self):
+        bits = np.random.default_rng(5).integers(0, 2, CFG.bits_per_frame)
+        frame = DataFrame.from_bits(bits)
+        filt = design_plain(M)
+        tx = modulate(frame, filt, CFG)
+        symbols, _ = demodulate(tx.samples, np.ones(M, complex), filt, CFG, 0.0)
+        assert np.max(np.abs(symbols - frame.symbols)) < 1e-12
+
+
 class TestFrameConfig:
     def test_defaults(self):
         assert (CFG.subcarriers, CFG.idft_size, CFG.cp_len) == (336, 512, 96)
@@ -223,5 +264,3 @@ class TestFrameConfig:
             FrameConfig(cp_len=512)
         with pytest.raises(ValueError):
             FrameConfig(repetition=5)  # does not divide 336
-        with pytest.raises(ValueError):
-            FrameConfig(constellation="16qam")
