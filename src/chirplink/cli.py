@@ -242,13 +242,9 @@ def cmd_analyze(args) -> int:
                 fh.write(f"{s:.6f},{post_db:.6f},{rep.alpha_mmse:.9e}\n")
     elif args.mode == "psd":
         n_frames = int(ana.get("psd_frames", 1000))
-        rng = np.random.default_rng(cfg.seed)
-        bodies = np.empty(n_frames * frame.idft_size, dtype=complex)
-        for i in range(n_frames):
-            bits = rng.integers(0, 2, frame.bits_per_frame)
-            tx = transceiver.modulate(DataFrame.from_bits(bits), filt, frame)
-            bodies[i * frame.idft_size : (i + 1) * frame.idft_size] = tx.samples[frame.cp_len :]
-        p = analysis.psd(bodies, frame.idft_size, n_frames)
+        bits = np.random.default_rng(cfg.seed).integers(0, 2, (n_frames, frame.bits_per_frame))
+        tx = transceiver.modulate(DataFrame.from_bits(bits), filt, frame)
+        p = analysis.psd(tx.samples[:, frame.cp_len :].ravel(), frame.idft_size, n_frames)
         shift = np.fft.fftshift(p)
         freqs = np.fft.fftshift(np.fft.fftfreq(frame.idft_size) * frame.idft_size).astype(int)
         with open(args.out, "w", encoding="ascii") as fh:
@@ -273,12 +269,9 @@ def cmd_analyze(args) -> int:
                 d[0] = 1.0
                 single = transceiver.modulate(DataFrame(d), filt, frame)
                 single_papr = analysis.papr(single.samples[frame.cp_len :])
-                rng = np.random.default_rng(cfg.seed)
-                vals = []
-                for _ in range(100):
-                    bits = rng.integers(0, 2, frame.bits_per_frame)
-                    tx = transceiver.modulate(DataFrame.from_bits(bits), filt, frame)
-                    vals.append(analysis.papr(tx.samples[frame.cp_len :]))
+                bits = np.random.default_rng(cfg.seed).integers(0, 2, (100, frame.bits_per_frame))
+                tx = transceiver.modulate(DataFrame.from_bits(bits), filt, frame)
+                vals = [analysis.papr(body) for body in tx.samples[:, frame.cp_len :]]
                 fh.write(f"{wf},{single_papr:.4f},{np.mean(vals):.4f}\n")
     else:
         raise UsageError(f"unknown analyze mode {args.mode!r}")

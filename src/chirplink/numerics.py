@@ -76,7 +76,7 @@ def fresnel(x):
 
 
 def dft(values, inverse: bool = False) -> np.ndarray:
-    """DFT with the unnormalized-forward convention.
+    """DFT with the unnormalized-forward convention, along the last axis.
 
     Forward: X_k = sum_n x_n exp(-j 2 pi k n / L).
     Inverse: x_n = (1/L) sum_k X_k exp(+j 2 pi k n / L).

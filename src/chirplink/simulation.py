@@ -10,6 +10,18 @@ use the combined-level SNR R*rho, i.e. 2 * Eb/N0 regardless of R.
 Sweeps are deterministic: every grid point draws its random stream from a
 child of the configured seed, spawned up front in grid order, so results
 do not depend on scheduling or on how many frames other points consumed.
+
+Frames run in blocks of ``FRAME_BLOCK`` through the batched transceiver
+and channel.  Each block of b = min(FRAME_BLOCK, max_frames - frames)
+frames draws from the point's generator, in this order: the bits,
+``integers(0, 2, (b, bits_per_frame))``; then for AWGN the real noise
+(b, N + CP) and the imaginary noise (b, N + CP), or for multipath the b
+channel realizations (``channel.draw(profile, rng, b)``) followed by the
+real and imaginary noise inside ``channel.apply``.  The stopping rule is
+exact: a point ends at the first frame after which both ``min_bits`` and
+``min_errors`` are met (or at ``max_frames``), and the frames drawn after
+it in its block are not counted, so ``frame_count``, ``bit_count`` and
+``error_count`` are those of a frame-by-frame loop over the same stream.
 """
 
 from __future__ import annotations
@@ -29,6 +41,9 @@ WAVEFORMS = ("plain", "linear", "sinusoidal", "triangular")
 
 #: Default number of trajectory harmonics for the triangular design.
 TRIANGULAR_HARMONICS = 64
+
+#: Frames per block of the Monte Carlo loop; fixes the random stream.
+FRAME_BLOCK = 16
 
 
 def design_filter(
@@ -184,24 +199,29 @@ def _simulate_point(
     while frames < cfg.max_frames and (
         bits_sent < cfg.min_bits or errors < cfg.min_errors
     ):
-        bits = rng.integers(0, 2, frame.bits_per_frame)
+        block = min(FRAME_BLOCK, cfg.max_frames - frames)
+        bits = rng.integers(0, 2, (block, frame.bits_per_frame))
         tx = transceiver.modulate(DataFrame.from_bits(bits), filt, frame)
         if cfg.channel_profile is None:
-            rx = tx.samples + np.sqrt(noise_var_time / 2.0) * (
-                rng.standard_normal(len(tx.samples))
-                + 1j * rng.standard_normal(len(tx.samples))
-            )
+            rx = tx.samples  # a fresh array: the noise is added in place
+            rx.real += np.sqrt(noise_var_time / 2.0) * rng.standard_normal(rx.shape)
+            rx.imag += np.sqrt(noise_var_time / 2.0) * rng.standard_normal(rx.shape)
             h_band = ones
         else:
-            ch = channel.draw(cfg.channel_profile, rng)
+            ch = channel.draw(cfg.channel_profile, rng, block)
             rx = channel.apply(tx.samples, ch, noise_var_time, rng)
             h_band = channel.freq_response(ch, frame.idft_size)[
-                filt.subcarriers % frame.idft_size
+                :, filt.subcarriers % frame.idft_size
             ]
         symbols, _ = transceiver.demodulate(rx, h_band, filt, frame, noise_var_sub)
-        errors += int(np.sum(transceiver.qpsk_demap(symbols) != bits))
-        bits_sent += frame.bits_per_frame
-        frames += 1
+        frame_errors = np.sum(transceiver.qpsk_demap(symbols) != bits, axis=1)
+        # Count frames up to the first one that meets both targets.
+        cum_errors = errors + np.cumsum(frame_errors)
+        cum_bits = bits_sent + frame.bits_per_frame * np.arange(1, block + 1)
+        met = (cum_bits >= cfg.min_bits) & (cum_errors >= cfg.min_errors)
+        used = int(np.argmax(met)) + 1 if met.any() else block
+        errors, bits_sent = int(cum_errors[used - 1]), int(cum_bits[used - 1])
+        frames += used
     return BerPoint(
         ebn0_db=float(ebn0_db),
         snr_db=float(10.0 * np.log10(rho)),
@@ -217,9 +237,12 @@ def _simulate_point(
 def run_ber_sweep(cfg: LinkConfig) -> BerCurve:
     """Run the Monte Carlo sweep over the Eb/N0 grid.
 
-    Identical configs (seed included) produce bit-identical curves.
-    Under-converged points (fewer than ``min_errors`` errors when
-    ``max_frames`` ran out) are flagged on the curve, not raised.
+    Identical configs (seed included) produce bit-identical curves.  Grid
+    point i draws from child i of ``SeedSequence(seed)``, in blocks of
+    ``FRAME_BLOCK`` frames (bits, then noise, or channels then noise; see
+    the module docstring); frames drawn after a point's stopping frame are
+    not counted.  Under-converged points (fewer than ``min_errors`` errors
+    when ``max_frames`` ran out) are flagged on the curve, not raised.
     """
     filt = cfg.filter
     streams = np.random.SeedSequence(cfg.seed).spawn(len(cfg.ebn0_grid_db))

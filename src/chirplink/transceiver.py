@@ -10,6 +10,10 @@ N-point DFT, extract the occupied band, maximal-ratio combine the R
 frequency copies, single-tap MMSE equalize, despread with an (M/R)-point
 IDFT, slice.
 
+Every function works along the last axis: one frame is a 1-d array, a
+block of B frames is the same call with a leading axis of length B, and
+each row of a block is bit-identical to the single-frame call on it.
+
 Conventions fixed here because they matter for reproducibility:
 
 * Subcarrier-to-bin alignment is natural FFT order with negative indices
@@ -69,7 +73,7 @@ class FrameConfig:
 
 @dataclass(frozen=True)
 class DataFrame:
-    """Payload of one symbol: its complex data symbols."""
+    """Payload of one symbol, ``symbols`` of shape (S,), or of B symbols, (B, S)."""
 
     symbols: np.ndarray
 
@@ -83,10 +87,11 @@ class DataFrame:
 
 @dataclass(frozen=True)
 class TxSignal:
-    """One transmitted symbol: CP + body, plus the shaped spectrum.
+    """Transmitted symbols: CP + body, plus the shaped spectrum.
 
-    ``freq_symbols[i]`` is the post-shaping value on subcarrier l_down + i,
-    kept for diagnostics and tests.
+    ``samples`` has shape (N + CP,) for one frame or (B, N + CP) for B.
+    ``freq_symbols[..., i]`` is the post-shaping value on subcarrier
+    l_down + i, kept for diagnostics and tests.
     """
 
     samples: np.ndarray
@@ -94,20 +99,23 @@ class TxSignal:
 
 
 def qpsk_map(bits) -> np.ndarray:
-    """Gray-mapped QPSK: bit pair (b0, b1) -> ((1-2*b0) + j(1-2*b1))/sqrt(2)."""
+    """Gray-mapped QPSK: bit pair (b0, b1) -> ((1-2*b0) + j(1-2*b1))/sqrt(2).
+
+    Pairs are taken along the last axis, so (B, 2S) bits give (B, S) symbols.
+    """
     bits = np.asarray(bits, dtype=int)
-    if bits.ndim != 1 or bits.size % 2:
+    if bits.ndim == 0 or bits.shape[-1] % 2:
         raise ValueError("bit count must be even")
-    pairs = bits.reshape(-1, 2)
-    return ((1 - 2 * pairs[:, 0]) + 1j * (1 - 2 * pairs[:, 1])) / np.sqrt(2)
+    pairs = bits.reshape(bits.shape[:-1] + (-1, 2))
+    return ((1 - 2 * pairs[..., 0]) + 1j * (1 - 2 * pairs[..., 1])) / np.sqrt(2)
 
 
 def qpsk_demap(symbols) -> np.ndarray:
     """Hard quadrant slicing back to bits; inverse of :func:`qpsk_map`."""
     symbols = np.asarray(symbols, dtype=complex)
-    bits = np.empty(2 * len(symbols), dtype=int)
-    bits[0::2] = symbols.real < 0
-    bits[1::2] = symbols.imag < 0
+    bits = np.empty(symbols.shape[:-1] + (2 * symbols.shape[-1],), dtype=int)
+    bits[..., 0::2] = symbols.real < 0
+    bits[..., 1::2] = symbols.imag < 0
     return bits
 
 
@@ -118,7 +126,10 @@ def _amplitude(cfg: FrameConfig) -> float:
 
 
 def modulate(data: DataFrame, filt: FdssFilter, cfg: FrameConfig) -> TxSignal:
-    """Synthesize one CP-prefixed symbol from a data frame.
+    """Synthesize CP-prefixed symbols from a data frame.
+
+    ``data.symbols`` of shape (S,) gives one symbol of N + CP samples;
+    (B, S) gives B of them as a (B, N + CP) array, one FFT call per stage.
 
     The M-point DFT of the sparse input (data on every R-th bin) is R tiled
     copies of the (M/R)-point DFT of the data, computed directly in that
@@ -127,18 +138,20 @@ def modulate(data: DataFrame, filt: FdssFilter, cfg: FrameConfig) -> TxSignal:
     if filt.m != cfg.subcarriers:
         raise ValueError("filter band does not match the frame configuration")
     d = np.asarray(data.symbols, dtype=complex)
-    if len(d) != cfg.symbols_per_frame:
-        raise ValueError(f"expected {cfg.symbols_per_frame} symbols, got {len(d)}")
+    if d.shape[-1:] != (cfg.symbols_per_frame,):
+        raise ValueError(
+            f"expected {cfg.symbols_per_frame} symbols per frame, got shape {d.shape}"
+        )
     if not np.all(np.isfinite(d)):
         raise ValueError("data symbols must be finite")
     n, m = cfg.idft_size, cfg.subcarriers
     spread = np.tile(numerics.dft(d), cfg.repetition)  # M-point DFT of the sparse input
     ks = filt.subcarriers
-    shaped = filt.coeffs * spread[ks % m]
-    grid = np.zeros(n, dtype=complex)
-    grid[ks % n] = shaped
+    shaped = filt.coeffs * spread[..., ks % m]
+    grid = np.zeros(d.shape[:-1] + (n,), dtype=complex)
+    grid[..., ks % n] = shaped
     body = numerics.dft(grid, inverse=True) * _amplitude(cfg)
-    samples = np.concatenate([body[n - cfg.cp_len :], body])
+    samples = np.concatenate([body[..., n - cfg.cp_len :], body], axis=-1)
     return TxSignal(samples, shaped)
 
 
@@ -149,15 +162,17 @@ def demodulate(
     cfg: FrameConfig,
     noise_var: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Recover data symbols and soft bits from one received symbol.
+    """Recover data symbols and soft bits from received symbols.
 
     Parameters
     ----------
     rx : array
-        ``idft_size + cp_len`` received samples.
+        ``idft_size + cp_len`` received samples, shape (N + CP,) for one
+        frame or (B, N + CP) for B frames.
     channel_freq : array
         Channel frequency response on the occupied band, aligned with
-        ``filt.subcarriers`` (genie knowledge; all-ones for AWGN).
+        ``filt.subcarriers`` (genie knowledge; all-ones for AWGN): shape
+        (M,) for every frame alike, or (B, M), one row per frame of ``rx``.
     noise_var : float
         Per-subcarrier noise variance at the equalizer plane; ``1/noise_var``
         is the per-subcarrier SNR.  Zero selects the zero-forcing limit,
@@ -167,13 +182,14 @@ def demodulate(
     -------
     (symbols, soft_bits)
         MMSE symbol estimates (biased, as usual for MMSE) and
-        LLR-proportional soft bit values, two per symbol (real then imag).
+        LLR-proportional soft bit values, two per symbol (real then imag),
+        with the leading shape of ``rx``.
     """
     rx = np.asarray(rx, dtype=complex)
-    if rx.ndim != 1 or len(rx) == 0:
-        raise ValueError("rx must be a nonempty sample vector")
-    if len(rx) != cfg.samples_per_frame:
-        raise ValueError(f"expected {cfg.samples_per_frame} samples, got {len(rx)}")
+    if rx.ndim == 0 or rx.size == 0:
+        raise ValueError("rx must be a nonempty sample array")
+    if rx.shape[-1] != cfg.samples_per_frame:
+        raise ValueError(f"expected {cfg.samples_per_frame} samples, got {rx.shape[-1]}")
     if not np.all(np.isfinite(rx)):
         raise ValueError("rx must be finite")
     if filt.m != cfg.subcarriers:
@@ -181,31 +197,31 @@ def demodulate(
     if not (np.isfinite(noise_var) and noise_var >= 0):
         raise ValueError(f"noise_var must be finite and >= 0, got {noise_var}")
     h = np.asarray(channel_freq, dtype=complex)
-    if h.shape != (cfg.subcarriers,):
-        raise ValueError("channel_freq must cover the occupied band")
+    if h.shape not in ((cfg.subcarriers,), rx.shape[:-1] + (cfg.subcarriers,)):
+        raise ValueError("channel_freq must cover the occupied band, once or per frame")
     if not np.all(np.isfinite(h)):
         raise ValueError("channel_freq must be finite")
     n, m, r = cfg.idft_size, cfg.subcarriers, cfg.repetition
     ks = filt.subcarriers
-    spectrum = numerics.dft(rx[cfg.cp_len :])
+    spectrum = numerics.dft(rx[..., cfg.cp_len :])
     # Undo the transmit scaling so the data spectrum has unit average power.
-    band = spectrum[ks % n] * (np.sqrt(m) / n)
+    band = spectrum[..., ks % n] * (np.sqrt(m) / n)
     gain = h * filt.coeffs
     per_group = m // r
-    combined = (np.conj(gain) * band).reshape(r, per_group).sum(axis=0)
-    combined_gain = (np.abs(gain) ** 2).reshape(r, per_group).sum(axis=0)
+    combined = (np.conj(gain) * band).reshape(band.shape[:-1] + (r, per_group)).sum(axis=-2)
+    combined_gain = (np.abs(gain) ** 2).reshape(gain.shape[:-1] + (r, per_group)).sum(axis=-2)
     if noise_var == 0 and not np.all(combined_gain > 0):
         raise ValueError(
             "noise_var = 0 (zero-forcing) needs nonzero combined gain on every bin;"
-            f" {int(np.sum(combined_gain == 0))} of {per_group} bins have none"
+            f" {int(np.sum(combined_gain == 0))} of {combined_gain.size} bins have none"
         )
     equalized = combined / (combined_gain + noise_var)
     # Despread: subcarrier kappa carries bin kappa mod (M/R) of the data DFT.
     kappa = ks[:per_group]
-    despread_in = np.zeros(per_group, dtype=complex)
-    despread_in[kappa % per_group] = equalized
+    despread_in = np.zeros(equalized.shape, dtype=complex)
+    despread_in[..., kappa % per_group] = equalized
     symbols = numerics.dft(despread_in, inverse=True) * np.sqrt(per_group)
-    soft = np.empty(2 * per_group)
-    soft[0::2] = symbols.real
-    soft[1::2] = symbols.imag
+    soft = np.empty(symbols.shape[:-1] + (2 * per_group,))
+    soft[..., 0::2] = symbols.real
+    soft[..., 1::2] = symbols.imag
     return symbols, soft

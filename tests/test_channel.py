@@ -20,6 +20,9 @@ class TestProfile:
             ChannelProfile((0.0,), 10.0, (-1,))
         with pytest.raises(ValueError):
             ChannelProfile((0.0, np.inf), 10.0, (0, 1))
+        for k in (-1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="rician_k"):
+                ChannelProfile(rician_k=k)
 
     def test_awgn_profile(self):
         p = awgn_profile()
@@ -36,17 +39,14 @@ class TestDraw:
     def test_average_energy_is_unity(self):
         p = ChannelProfile()
         rng = np.random.default_rng(1)
-        total = 0.0
         n = 100_000
-        for _ in range(n):
-            ch = channel.draw(p, rng)
-            total += np.sum(np.abs(ch.taps) ** 2)
+        total = np.sum(np.abs(channel.draw(p, rng, n).taps) ** 2)
         assert total / n == pytest.approx(1.0, rel=0.01)
 
     def test_first_tap_power(self):
         p = ChannelProfile()
         rng = np.random.default_rng(2)
-        total = sum(abs(channel.draw(p, rng).taps[0]) ** 2 for _ in range(100_000))
+        total = np.sum(np.abs(channel.draw(p, rng, 100_000).taps[:, 0]) ** 2)
         assert total / 100_000 == pytest.approx(p.tap_powers[0], rel=0.01)
 
     def test_deterministic_given_seed(self):
@@ -64,6 +64,27 @@ class TestDraw:
             -0.09347862183860117 + 0.004509924059427851j,
         ]
         np.testing.assert_allclose(ch.taps, expect, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("profile", [ChannelProfile(), awgn_profile(),
+                                         ChannelProfile((0.0, -3.0), 2.0, (0, 4))])
+    def test_batch_rows_equal_single_calls(self, profile):
+        n, length = 5, 40
+        batch = channel.draw(profile, np.random.default_rng(8), n)
+        rng = np.random.default_rng(8)
+        singles = [channel.draw(profile, rng) for _ in range(n)]
+        assert batch.taps.shape == (n, len(profile.tap_delays))
+        np.testing.assert_array_equal(batch.taps, [ch.taps for ch in singles])
+        np.testing.assert_array_equal(
+            channel.freq_response(batch, 16), [channel.freq_response(ch, 16) for ch in singles]
+        )
+        parts = np.random.default_rng(9).standard_normal((2, n, length))
+        x = parts[0] + 1j * parts[1]
+        y = channel.apply(x, batch, 0.3, np.random.default_rng(10))
+        # the noise stream: all real parts first, then all imaginary parts
+        noise = np.random.default_rng(10).standard_normal((2, n, length))
+        noise = np.sqrt(0.15) * (noise[0] + 1j * noise[1])
+        expect = [channel.apply(row, ch, 0.0, rng) + w for row, ch, w in zip(x, singles, noise)]
+        np.testing.assert_array_equal(y, expect)
 
     def test_realization_validation(self):
         for taps, delays in (([1.0, 0.5], (0,)), ([1.0], (-1,)), ([], ())):

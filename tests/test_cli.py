@@ -1,5 +1,7 @@
 """Command-line surface: flags, config validation, exit codes, reproducibility."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,8 @@ INVALID_CONFIGS = {
     ),
     "nan_ebn0": BASE_CONFIG.replace("ebn0_db: [5.0, 6.0]", "ebn0_db: [5.0, .nan]"),
     "inf_ebn0": BASE_CONFIG.replace("ebn0_db: [5.0, 6.0]", "ebn0_db: [.inf]"),
+    "inf_rician_k": BASE_CONFIG.replace("type: awgn", "type: multipath\n  rician_k: .inf"),
+    "nan_rician_k": BASE_CONFIG.replace("type: awgn", "type: multipath\n  rician_k: .nan"),
 }
 
 
@@ -197,6 +201,27 @@ class TestAnalyze:
                 if ln and "," in ln and not ln.startswith(("#", "waveform"))}
         assert set(rows) == {"plain", "linear", "sinusoidal", "triangular"}
         assert float(rows["sinusoidal"][1]) < float(rows["linear"][1])
+
+    # sha256 of the data rows (below the comment header) for sinusoidal
+    # shaping and 300 PSD frames, as written by the frame-by-frame loop.
+    PINNED_ROWS = {
+        ("psd", 1): "c95f24d5b58a079c02994d5d0d3d48f2175def44ac75ad9faa7bc7ef7bc16e48",
+        ("psd", 4): "5bf6d9dcc9bef32f15ae19025bdba619f4c45dca17f50dda9a52ba250101d0a0",
+        ("papr", 1): "b37210d2418c92e462d22cee1480a387e1d53be58c437e2b1292036220d16db1",
+        ("papr", 4): "4e755da11ba0140a62044f55f237b9ead2b3154612d4a355075098f6ebd83bdb",
+    }
+
+    @pytest.mark.parametrize("mode, repetition", sorted(PINNED_ROWS))
+    def test_psd_and_papr_rows_pinned(self, mode, repetition, tmp_path):
+        cfg = tmp_path / "pin.yaml"
+        cfg.write_text(BASE_CONFIG.format(waveform="sinusoidal").replace(
+            "repetition: 1", f"repetition: {repetition}") + "analysis:\n  psd_frames: 300\n")
+        out = tmp_path / "out.csv"
+        assert cli.main(["analyze", "--config", str(cfg), "--mode", mode, "--out", str(out)]) == 0
+        rows = "".join(ln for ln in out.read_text().splitlines(keepends=True)
+                       if not ln.startswith("#"))
+        digest = hashlib.sha256(rows.encode()).hexdigest()
+        assert digest == self.PINNED_ROWS[mode, repetition]
 
     def test_papr_checks_every_waveform_design(self, tmp_path, capsys):
         # the config's own plain filter is fine; the triangular one is not

@@ -1,9 +1,11 @@
 """Sweep harness: SNR conversions, determinism, convergence accounting."""
 
+import math
+
 import numpy as np
 import pytest
 
-from chirplink import simulation
+from chirplink import analysis, channel, simulation
 from chirplink.channel import ChannelProfile
 from chirplink.simulation import (
     BerPoint,
@@ -13,7 +15,7 @@ from chirplink.simulation import (
     run_ber_sweep,
     sample_noise_variance,
 )
-from chirplink.transceiver import FrameConfig
+from chirplink.transceiver import DataFrame, FrameConfig, demodulate, modulate, qpsk_demap
 
 
 class TestSnrConversions:
@@ -146,6 +148,78 @@ class TestSweep:
         assert point.converged
         # frequency-selective fading degrades vs AWGN theory
         assert point.simulated_ber > point.theoretical_ber
+
+
+def replay_point(cfg: LinkConfig) -> BerPoint:
+    """The first grid point of ``cfg``, one single-frame call at a time.
+
+    Draws the documented block stream (bits, then channels and noise, per
+    block of 16 frames; the block size is part of the stream, so it is
+    spelled out here) and stops at the first frame that meets the targets
+    or the frame cap.
+    """
+    frame, filt, ebn0 = cfg.frame, cfg.filter, cfg.ebn0_grid_db[0]
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(len(cfg.ebn0_grid_db))[0])
+    rho = ebn0_to_subcarrier_snr(ebn0, frame)
+    scale = np.sqrt(sample_noise_variance(rho, frame) / 2.0)
+    band = filt.subcarriers % frame.idft_size
+    errors = bits_sent = frames = 0
+    while True:
+        block = min(16, cfg.max_frames - frames)
+        bits = rng.integers(0, 2, (block, frame.bits_per_frame))
+        if cfg.channel_profile is not None:
+            chans = [channel.draw(cfg.channel_profile, rng) for _ in range(block)]
+        shape = (block, frame.samples_per_frame)
+        noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for i in range(block):
+            tx = modulate(DataFrame.from_bits(bits[i]), filt, frame).samples
+            if cfg.channel_profile is None:
+                rx, h = tx + scale * noise[i], np.ones(frame.subcarriers)
+            else:
+                rx = channel.apply(tx, chans[i], 0.0, rng) + scale * noise[i]
+                h = channel.freq_response(chans[i], frame.idft_size)[band]
+            symbols, _ = demodulate(rx, h, filt, frame, 1.0 / rho)
+            errors += int(np.sum(qpsk_demap(symbols) != bits[i]))
+            bits_sent += frame.bits_per_frame
+            frames += 1
+            if frames == cfg.max_frames or (
+                bits_sent >= cfg.min_bits and errors >= cfg.min_errors
+            ):
+                report = analysis.snr_post(filt, frame.repetition * rho, frame.repetition)
+                return BerPoint(ebn0, float(10.0 * np.log10(rho)), errors / bits_sent,
+                                analysis.theoretical_ber_qpsk(report.snr_post),
+                                bits_sent, frames, errors, errors >= cfg.min_errors)
+
+
+class TestBlockEngine:
+    """The block loop against a frame-by-frame replay of its documented stream."""
+
+    @pytest.mark.parametrize("stop, kwargs", [
+        ("bits", dict(waveform="sinusoidal", ebn0_grid_db=(7.0,), min_bits=20_000)),
+        ("errors", dict(ebn0_grid_db=(7.0,), min_bits=10_000, min_errors=50)),
+        ("capped", dict(ebn0_grid_db=(11.0,), min_bits=10_000, max_frames=40)),
+        ("errors", dict(ebn0_grid_db=(14.0,), min_bits=10_000, min_errors=40,
+                        channel_profile=ChannelProfile())),
+    ])
+    def test_matches_frame_by_frame_replay(self, stop, kwargs):
+        cfg = LinkConfig(seed=12, **kwargs)
+        point = run_ber_sweep(cfg).points[0]
+        assert point == replay_point(cfg)
+        bits_frames = math.ceil(cfg.min_bits / cfg.frame.bits_per_frame)
+        if stop == "bits":
+            assert point.frame_count == bits_frames and point.error_count > cfg.min_errors
+        elif stop == "errors":
+            assert point.frame_count > bits_frames and point.error_count >= cfg.min_errors
+        else:
+            assert point.frame_count == 40 and not point.converged
+
+    @pytest.mark.parametrize("repetition", [1, 4])
+    def test_bits_limited_frame_count(self, repetition):
+        frame = FrameConfig(repetition=repetition)
+        cfg = LinkConfig(frame=frame, ebn0_grid_db=(3.0,), min_bits=30_001, seed=8)
+        point = run_ber_sweep(cfg).points[0]
+        assert point.frame_count == math.ceil(30_001 / frame.bits_per_frame)
+        assert point.bit_count == point.frame_count * frame.bits_per_frame
 
 
 class TestCrossing:

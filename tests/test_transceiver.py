@@ -251,6 +251,50 @@ class TestBoundaryValidation:
         assert np.max(np.abs(symbols - frame.symbols)) < 1e-12
 
 
+class TestBatch:
+    """A (B, .) call gives, row for row, the bits of B single-frame calls."""
+
+    def test_qpsk_rows(self):
+        bits = np.random.default_rng(3).integers(0, 2, (5, 12))
+        symbols = qpsk_map(bits)
+        np.testing.assert_array_equal(symbols, [qpsk_map(row) for row in bits])
+        np.testing.assert_array_equal(qpsk_demap(symbols), [qpsk_demap(row) for row in symbols])
+        np.testing.assert_array_equal(qpsk_demap(symbols), bits)
+        with pytest.raises(ValueError):
+            qpsk_map(np.zeros((2, 3), int))
+
+    @pytest.mark.parametrize("repetition", [1, 4])
+    @pytest.mark.parametrize("name", list(ALL_FILTERS))
+    def test_modulate_demodulate_rows(self, name, repetition):
+        cfg = FrameConfig(repetition=repetition)
+        filt = ALL_FILTERS[name]
+        rng = np.random.default_rng(41)
+        bits = rng.integers(0, 2, (6, cfg.bits_per_frame))
+        tx = modulate(DataFrame.from_bits(bits), filt, cfg)
+        singles = [modulate(DataFrame.from_bits(row), filt, cfg) for row in bits]
+        np.testing.assert_array_equal(tx.samples, [t.samples for t in singles])
+        np.testing.assert_array_equal(tx.freq_symbols, [t.freq_symbols for t in singles])
+        noise = rng.standard_normal((2,) + tx.samples.shape)
+        rx = tx.samples + 0.1 * (noise[0] + 1j * noise[1])
+        parts = rng.standard_normal((2, 6, M))
+        h = 1.0 + 0.3 * (parts[0] + 1j * parts[1])
+        for channel_freq, per_frame in ((np.ones(M, complex), [np.ones(M, complex)] * 6),
+                                        (h, h)):
+            symbols, soft = demodulate(rx, channel_freq, filt, cfg, 0.05)
+            for i in range(6):
+                one = demodulate(rx[i], per_frame[i], filt, cfg, 0.05)
+                np.testing.assert_array_equal(symbols[i], one[0])
+                np.testing.assert_array_equal(soft[i], one[1])
+
+    def test_channel_freq_must_match_the_batch(self):
+        rx = np.ones((3, CFG.samples_per_frame), complex)
+        filt = ALL_FILTERS["plain"]
+        with pytest.raises(ValueError, match="^channel_freq "):
+            demodulate(rx, np.ones((2, M), complex), filt, CFG, 0.1)
+        with pytest.raises(ValueError, match="^channel_freq "):
+            demodulate(rx[0], np.ones((3, M), complex), filt, CFG, 0.1)
+
+
 class TestFrameConfig:
     def test_defaults(self):
         assert (CFG.subcarriers, CFG.idft_size, CFG.cp_len) == (336, 512, 96)
