@@ -70,8 +70,7 @@ def theoretical_ber_qpsk(snr_post_value: float) -> float:
 def psd(signal, nfft: int, n_avg: int) -> np.ndarray:
     """Averaged periodogram in dB, rectangular window, non-overlapping segments.
 
-    Normalized so the in-band average is 0 dB, where in-band means bins
-    within 30 dB of the peak.  Bins are in natural FFT order.
+    Normalized by :func:`in_band_db`.  Bins are in natural FFT order.
     """
     x = np.asarray(signal, dtype=complex)
     if nfft < 1 or n_avg < 1:
@@ -79,9 +78,12 @@ def psd(signal, nfft: int, n_avg: int) -> np.ndarray:
     if len(x) < nfft * n_avg:
         raise ValueError(f"need at least {nfft * n_avg} samples, got {len(x)}")
     segs = x[: nfft * n_avg].reshape(n_avg, nfft)
-    p = np.mean(np.abs(np.fft.fft(segs, axis=1)) ** 2, axis=0)
-    in_band = p >= p.max() * 1e-3
-    p = p / np.mean(p[in_band])
+    return in_band_db(np.mean(np.abs(np.fft.fft(segs, axis=1)) ** 2, axis=0))
+
+
+def in_band_db(power: np.ndarray) -> np.ndarray:
+    """Power spectrum in dB, in-band (within 30 dB of the peak) average at 0 dB."""
+    p = power / np.mean(power[power >= power.max() * 1e-3])
     return 10.0 * np.log10(np.maximum(p, 1e-300))
 
 

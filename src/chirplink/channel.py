@@ -1,4 +1,4 @@
-"""Multipath channel model: Rician first tap, Rayleigh echoes, AWGN.
+"""Multipath channel model: Rician first tap, Rayleigh echoes.
 
 The default profile is a three-tap power-delay profile of {0, -10, -20} dB
 at consecutive sample delays, first tap Rician with K = 10 (linear), the
@@ -51,11 +51,6 @@ class ChannelProfile:
         return self.tap_delays[-1]
 
 
-def awgn_profile() -> ChannelProfile:
-    """Single unit tap at delay zero: the channel reduces to pure AWGN."""
-    return ChannelProfile((0.0,), 0.0, (0,))
-
-
 @dataclass(frozen=True)
 class ChannelRealization:
     taps: np.ndarray
@@ -102,16 +97,11 @@ def draw(
     return ChannelRealization(taps, profile.tap_delays)
 
 
-def apply(
-    signal, ch: ChannelRealization, noise_var: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Tapped-delay-line filtering plus AWGN, truncated to the input length.
+def apply(signal, ch: ChannelRealization) -> np.ndarray:
+    """Tapped-delay-line filtering (no noise), truncated to the input length.
 
-    Filters along the last axis: a (B, L) signal with (B, taps) realizations
-    gives (B, L), each row filtered by its own taps.  The discarded
-    convolution tail is what the cyclic prefix absorbs.  ``noise_var`` is
-    the complex noise variance per time-domain sample; the real parts of all
-    the noise are drawn first, then the imaginary parts.
+    The discarded convolution tail is what the cyclic prefix absorbs.  The
+    result is a fresh array.
     """
     x = np.asarray(signal, dtype=complex)
     h = ch.impulse
@@ -122,9 +112,6 @@ def apply(
     y = h[..., :1] * x
     for d in range(1, h.shape[-1]):
         y[..., d:] += h[..., d : d + 1] * x[..., : length - d]
-    if noise_var > 0:
-        y.real += np.sqrt(noise_var / 2.0) * rng.standard_normal(y.shape)
-        y.imag += np.sqrt(noise_var / 2.0) * rng.standard_normal(y.shape)
     return y
 
 

@@ -26,6 +26,10 @@ EXIT_USAGE = 1
 EXIT_UNDERCONVERGED = 2
 
 
+#: Frames ``analyze --mode psd`` modulates at a time; memory stays flat in psd_frames.
+PSD_BLOCK = 64
+
+
 class UsageError(Exception):
     pass
 
@@ -242,10 +246,14 @@ def cmd_analyze(args) -> int:
                 fh.write(f"{s:.6f},{post_db:.6f},{rep.alpha_mmse:.9e}\n")
     elif args.mode == "psd":
         n_frames = int(ana.get("psd_frames", 1000))
-        bits = np.random.default_rng(cfg.seed).integers(0, 2, (n_frames, frame.bits_per_frame))
-        tx = transceiver.modulate(DataFrame.from_bits(bits), filt, frame)
-        p = analysis.psd(tx.samples[:, frame.cp_len :].ravel(), frame.idft_size, n_frames)
-        shift = np.fft.fftshift(p)
+        rng = np.random.default_rng(cfg.seed)
+        total = np.zeros(frame.idft_size)
+        for start in range(0, n_frames, PSD_BLOCK):
+            bits = rng.integers(0, 2, (min(PSD_BLOCK, n_frames - start), frame.bits_per_frame))
+            tx = transceiver.modulate(DataFrame.from_bits(bits), filt, frame)
+            for power in np.abs(np.fft.fft(tx.samples[:, frame.cp_len :], axis=1)) ** 2:
+                total += power  # frame by frame, the order of one mean over all frames
+        shift = np.fft.fftshift(analysis.in_band_db(total / n_frames))
         freqs = np.fft.fftshift(np.fft.fftfreq(frame.idft_size) * frame.idft_size).astype(int)
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(header)

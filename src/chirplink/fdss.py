@@ -84,9 +84,6 @@ class FdssFilter:
         """Subcarrier indices k = l_down .. l_up, aligned with ``coeffs``."""
         return np.arange(self.l_down, self.l_up + 1)
 
-    def coeff(self, k: int) -> complex:
-        return complex(self.coeffs[k - self.l_down])
-
     def magnitude_ratio(self) -> float:
         """max |c_k| / min |c_k| over the occupied band."""
         mags = np.abs(self.coeffs)

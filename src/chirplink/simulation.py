@@ -11,17 +11,11 @@ Sweeps are deterministic: every grid point draws its random stream from a
 child of the configured seed, spawned up front in grid order, so results
 do not depend on scheduling or on how many frames other points consumed.
 
-Frames run in blocks of ``FRAME_BLOCK`` through the batched transceiver
-and channel.  Each block of b = min(FRAME_BLOCK, max_frames - frames)
-frames draws from the point's generator, in this order: the bits,
-``integers(0, 2, (b, bits_per_frame))``; then for AWGN the real noise
-(b, N + CP) and the imaginary noise (b, N + CP), or for multipath the b
-channel realizations (``channel.draw(profile, rng, b)``) followed by the
-real and imaginary noise inside ``channel.apply``.  The stopping rule is
-exact: a point ends at the first frame after which both ``min_bits`` and
-``min_errors`` are met (or at ``max_frames``), and the frames drawn after
-it in its block are not counted, so ``frame_count``, ``bit_count`` and
-``error_count`` are those of a frame-by-frame loop over the same stream.
+Frames run in blocks of ``FRAME_BLOCK``, whose random numbers all come
+from ``_draw_block``.  The stopping rule is exact: a point ends at the
+first frame that meets both ``min_bits`` and ``min_errors`` (or at
+``max_frames``), and the frames after it in its block are not counted, so
+the counts are those of a frame-by-frame loop over the same stream.
 """
 
 from __future__ import annotations
@@ -94,7 +88,7 @@ class LinkConfig:
         if self.min_errors < 1 or self.max_frames < 1:
             raise ValueError("min_errors and max_frames must be positive")
         if self.channel_profile is not None:
-            if self.channel_profile.max_delay >= self.frame.cp_len:
+            if self.channel_profile.max_delay > self.frame.cp_len:
                 raise ValueError("channel memory exceeds the cyclic prefix")
         object.__setattr__(self, "ebn0_grid_db", tuple(float(e) for e in self.ebn0_grid_db))
 
@@ -181,6 +175,21 @@ def sample_noise_variance(subcarrier_snr: float, cfg: FrameConfig) -> float:
     return (cfg.idft_size / cfg.subcarriers) / subcarrier_snr
 
 
+def _draw_block(cfg: LinkConfig, rng: np.random.Generator, b: int):
+    """``(bits, ch, noise)``: every random number of ``b`` frames, in stream order.
+
+    The bits, ``integers(0, 2, (b, bits_per_frame))``; for multipath only,
+    ``ch = channel.draw(profile, rng, b)`` (else None); then the real and
+    the imaginary noise parts, each (b, N + CP) standard normals, as
+    ``noise[0]`` and ``noise[1]``.  This order and ``FRAME_BLOCK`` fix the
+    BER CSV bytes.
+    """
+    bits = rng.integers(0, 2, (b, cfg.frame.bits_per_frame))
+    ch = None if cfg.channel_profile is None else channel.draw(cfg.channel_profile, rng, b)
+    noise = rng.standard_normal((2, b, cfg.frame.samples_per_frame))
+    return bits, ch, noise
+
+
 def _simulate_point(
     cfg: LinkConfig,
     filt: fdss.FdssFilter,
@@ -189,31 +198,26 @@ def _simulate_point(
 ) -> BerPoint:
     frame = cfg.frame
     rho = ebn0_to_subcarrier_snr(ebn0_db, frame)
-    noise_var_sub = 1.0 / rho
-    noise_var_time = sample_noise_variance(rho, frame)
+    noise_scale = np.sqrt(sample_noise_variance(rho, frame) / 2.0)
     report = analysis.snr_post(filt, frame.repetition * rho, frame.repetition)
     theory = analysis.theoretical_ber_qpsk(report.snr_post)
 
-    ones = np.ones(frame.subcarriers, dtype=complex)
     errors = bits_sent = frames = 0
     while frames < cfg.max_frames and (
         bits_sent < cfg.min_bits or errors < cfg.min_errors
     ):
         block = min(FRAME_BLOCK, cfg.max_frames - frames)
-        bits = rng.integers(0, 2, (block, frame.bits_per_frame))
-        tx = transceiver.modulate(DataFrame.from_bits(bits), filt, frame)
-        if cfg.channel_profile is None:
-            rx = tx.samples  # a fresh array: the noise is added in place
-            rx.real += np.sqrt(noise_var_time / 2.0) * rng.standard_normal(rx.shape)
-            rx.imag += np.sqrt(noise_var_time / 2.0) * rng.standard_normal(rx.shape)
-            h_band = ones
-        else:
-            ch = channel.draw(cfg.channel_profile, rng, block)
-            rx = channel.apply(tx.samples, ch, noise_var_time, rng)
+        bits, ch, noise = _draw_block(cfg, rng, block)
+        rx = transceiver.modulate(DataFrame.from_bits(bits), filt, frame).samples
+        h_band = np.ones(frame.subcarriers)
+        if ch is not None:
+            rx = channel.apply(rx, ch)
             h_band = channel.freq_response(ch, frame.idft_size)[
                 :, filt.subcarriers % frame.idft_size
             ]
-        symbols, _ = transceiver.demodulate(rx, h_band, filt, frame, noise_var_sub)
+        rx.real += noise_scale * noise[0]  # rx is a fresh array
+        rx.imag += noise_scale * noise[1]
+        symbols = transceiver.demodulate(rx, h_band, filt, frame, 1.0 / rho)
         frame_errors = np.sum(transceiver.qpsk_demap(symbols) != bits, axis=1)
         # Count frames up to the first one that meets both targets.
         cum_errors = errors + np.cumsum(frame_errors)
@@ -239,10 +243,10 @@ def run_ber_sweep(cfg: LinkConfig) -> BerCurve:
 
     Identical configs (seed included) produce bit-identical curves.  Grid
     point i draws from child i of ``SeedSequence(seed)``, in blocks of
-    ``FRAME_BLOCK`` frames (bits, then noise, or channels then noise; see
-    the module docstring); frames drawn after a point's stopping frame are
-    not counted.  Under-converged points (fewer than ``min_errors`` errors
-    when ``max_frames`` ran out) are flagged on the curve, not raised.
+    ``FRAME_BLOCK`` frames drawn by ``_draw_block``; frames drawn after a
+    point's stopping frame are not counted.  Under-converged points (fewer
+    than ``min_errors`` errors when ``max_frames`` ran out) are flagged on
+    the curve, not raised.
     """
     filt = cfg.filter
     streams = np.random.SeedSequence(cfg.seed).spawn(len(cfg.ebn0_grid_db))

@@ -128,9 +128,6 @@ def _amplitude(cfg: FrameConfig) -> float:
 def modulate(data: DataFrame, filt: FdssFilter, cfg: FrameConfig) -> TxSignal:
     """Synthesize CP-prefixed symbols from a data frame.
 
-    ``data.symbols`` of shape (S,) gives one symbol of N + CP samples;
-    (B, S) gives B of them as a (B, N + CP) array, one FFT call per stage.
-
     The M-point DFT of the sparse input (data on every R-th bin) is R tiled
     copies of the (M/R)-point DFT of the data, computed directly in that
     form so the repetition structure is exact.
@@ -161,8 +158,8 @@ def demodulate(
     filt: FdssFilter,
     cfg: FrameConfig,
     noise_var: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Recover data symbols and soft bits from received symbols.
+) -> np.ndarray:
+    """Recover the data symbols of received symbols.
 
     Parameters
     ----------
@@ -180,10 +177,9 @@ def demodulate(
 
     Returns
     -------
-    (symbols, soft_bits)
-        MMSE symbol estimates (biased, as usual for MMSE) and
-        LLR-proportional soft bit values, two per symbol (real then imag),
-        with the leading shape of ``rx``.
+    symbols
+        MMSE symbol estimates (biased, as usual for MMSE), with the leading
+        shape of ``rx``.
     """
     rx = np.asarray(rx, dtype=complex)
     if rx.ndim == 0 or rx.size == 0:
@@ -220,8 +216,4 @@ def demodulate(
     kappa = ks[:per_group]
     despread_in = np.zeros(equalized.shape, dtype=complex)
     despread_in[..., kappa % per_group] = equalized
-    symbols = numerics.dft(despread_in, inverse=True) * np.sqrt(per_group)
-    soft = np.empty(symbols.shape[:-1] + (2 * per_group,))
-    soft[..., 0::2] = symbols.real
-    soft[..., 1::2] = symbols.imag
-    return symbols, soft
+    return numerics.dft(despread_in, inverse=True) * np.sqrt(per_group)

@@ -211,7 +211,7 @@ def test_c8_property_suites():
     ch = ch_mod.draw(ChannelProfile(), rng)
     body = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     frame = np.concatenate([body[-96:], body])
-    out = ch_mod.apply(frame, ch, 0.0, rng)
+    out = ch_mod.apply(frame, ch)
     lhs = np.fft.fft(out[96:])
     rhs = ch_mod.freq_response(ch, N) * np.fft.fft(body)
     assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.max(np.abs(rhs)))

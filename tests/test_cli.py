@@ -1,6 +1,7 @@
 """Command-line surface: flags, config validation, exit codes, reproducibility."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,6 +223,21 @@ class TestAnalyze:
                        if not ln.startswith("#"))
         digest = hashlib.sha256(rows.encode()).hexdigest()
         assert digest == self.PINNED_ROWS[mode, repetition]
+
+    def test_psd_memory_does_not_grow_with_frames(self, tmp_path):
+        peaks = {}
+        for n_frames in (200, 2000):
+            cfg = tmp_path / f"psd{n_frames}.yaml"
+            cfg.write_text(BASE_CONFIG.format(waveform="plain")
+                           + f"analysis:\n  psd_frames: {n_frames}\n")
+            tracemalloc.start()
+            try:
+                assert cli.main(["analyze", "--config", str(cfg), "--mode", "psd",
+                                 "--out", str(tmp_path / "psd.csv")]) == 0
+                peaks[n_frames] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[2000] <= 1.5 * peaks[200]
 
     def test_papr_checks_every_waveform_design(self, tmp_path, capsys):
         # the config's own plain filter is fine; the triangular one is not

@@ -1,12 +1,13 @@
 """Sweep harness: SNR conversions, determinism, convergence accounting."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from chirplink import analysis, channel, simulation
-from chirplink.channel import ChannelProfile
+from chirplink.channel import ChannelProfile, ChannelRealization
 from chirplink.simulation import (
     BerPoint,
     LinkConfig,
@@ -42,6 +43,14 @@ class TestLinkConfig:
             LinkConfig(min_bits=5000)
         with pytest.raises(ValueError):
             LinkConfig(channel_profile=ChannelProfile((0.0,), 10.0, (200,)))
+
+    @pytest.mark.parametrize("cp_len", [0, 4])
+    def test_channel_memory_up_to_the_cp(self, cp_len):
+        profile = ChannelProfile((0.0,) * (cp_len + 1), 0.0, tuple(range(cp_len + 1)))
+        LinkConfig(frame=FrameConfig(cp_len=cp_len), channel_profile=profile)
+        longer = ChannelProfile((0.0, -3.0), 0.0, (0, cp_len + 1))
+        with pytest.raises(ValueError, match="cyclic prefix"):
+            LinkConfig(frame=FrameConfig(cp_len=cp_len), channel_profile=longer)
 
     @pytest.mark.parametrize("field, value", [
         ("ebn0_grid_db", (4.0, float("nan"))),
@@ -153,10 +162,8 @@ class TestSweep:
 def replay_point(cfg: LinkConfig) -> BerPoint:
     """The first grid point of ``cfg``, one single-frame call at a time.
 
-    Draws the documented block stream (bits, then channels and noise, per
-    block of 16 frames; the block size is part of the stream, so it is
-    spelled out here) and stops at the first frame that meets the targets
-    or the frame cap.
+    Takes each block from ``simulation._draw_block`` and stops at the first
+    frame that meets the targets or the frame cap.
     """
     frame, filt, ebn0 = cfg.frame, cfg.filter, cfg.ebn0_grid_db[0]
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(len(cfg.ebn0_grid_db))[0])
@@ -165,20 +172,17 @@ def replay_point(cfg: LinkConfig) -> BerPoint:
     band = filt.subcarriers % frame.idft_size
     errors = bits_sent = frames = 0
     while True:
-        block = min(16, cfg.max_frames - frames)
-        bits = rng.integers(0, 2, (block, frame.bits_per_frame))
-        if cfg.channel_profile is not None:
-            chans = [channel.draw(cfg.channel_profile, rng) for _ in range(block)]
-        shape = (block, frame.samples_per_frame)
-        noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        block = min(simulation.FRAME_BLOCK, cfg.max_frames - frames)
+        bits, chans, noise = simulation._draw_block(cfg, rng, block)
         for i in range(block):
-            tx = modulate(DataFrame.from_bits(bits[i]), filt, frame).samples
-            if cfg.channel_profile is None:
-                rx, h = tx + scale * noise[i], np.ones(frame.subcarriers)
-            else:
-                rx = channel.apply(tx, chans[i], 0.0, rng) + scale * noise[i]
-                h = channel.freq_response(chans[i], frame.idft_size)[band]
-            symbols, _ = demodulate(rx, h, filt, frame, 1.0 / rho)
+            rx = modulate(DataFrame.from_bits(bits[i]), filt, frame).samples
+            h = np.ones(frame.subcarriers)
+            if chans is not None:
+                ch = ChannelRealization(chans.taps[i], chans.delays)
+                rx = channel.apply(rx, ch)
+                h = channel.freq_response(ch, frame.idft_size)[band]
+            rx = rx + scale * (noise[0, i] + 1j * noise[1, i])
+            symbols = demodulate(rx, h, filt, frame, 1.0 / rho)
             errors += int(np.sum(qpsk_demap(symbols) != bits[i]))
             bits_sent += frame.bits_per_frame
             frames += 1
@@ -192,7 +196,7 @@ def replay_point(cfg: LinkConfig) -> BerPoint:
 
 
 class TestBlockEngine:
-    """The block loop against a frame-by-frame replay of its documented stream."""
+    """The block loop against a frame-by-frame replay of the same stream."""
 
     @pytest.mark.parametrize("stop, kwargs", [
         ("bits", dict(waveform="sinusoidal", ebn0_grid_db=(7.0,), min_bits=20_000)),
@@ -220,6 +224,23 @@ class TestBlockEngine:
         point = run_ber_sweep(cfg).points[0]
         assert point.frame_count == math.ceil(30_001 / frame.bits_per_frame)
         assert point.bit_count == point.frame_count * frame.bits_per_frame
+
+    # sha256 of the CSV data rows; any change to the random stream (block
+    # size, draw order or shapes) or to the arithmetic of the chain shows.
+    PINNED_ROWS = [
+        (dict(frame=FrameConfig(repetition=4), waveform="sinusoidal", ebn0_grid_db=(4.0, 6.0),
+              min_bits=20_000, min_errors=50),
+         "790524e7e3f931597b9e8328dfed03c147daabd166156b60dd780259f38e328d"),
+        (dict(waveform="triangular", channel_profile=ChannelProfile(), ebn0_grid_db=(12.0,),
+              min_bits=10_000, min_errors=20),
+         "48382b39bd50aa19ea8a0fac308ef95c4e55f26ec97cb36b0538114ba668d0c0"),
+    ]
+
+    @pytest.mark.parametrize("kwargs, digest", PINNED_ROWS, ids=["awgn", "multipath"])
+    def test_stream_pinned(self, kwargs, digest):
+        text = run_ber_sweep(LinkConfig(seed=11, **kwargs)).csv_text()
+        rows = "".join(ln for ln in text.splitlines(keepends=True) if not ln.startswith("#"))
+        assert hashlib.sha256(rows.encode()).hexdigest() == digest
 
 
 class TestCrossing:

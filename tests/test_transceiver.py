@@ -139,15 +139,14 @@ class TestDemodulate:
         frame = DataFrame.from_bits(bits)
         tx = modulate(frame, ALL_FILTERS[name], CFG)
         # zero-forcing limit: exact recovery
-        symbols, soft = demodulate(
+        symbols = demodulate(
             tx.samples, np.ones(M, complex), ALL_FILTERS[name], CFG, 0.0
         )
         rms = np.sqrt(np.mean(np.abs(symbols - frame.symbols) ** 2))
         assert rms < 1e-6
         np.testing.assert_array_equal(qpsk_demap(symbols), bits)
-        assert np.all((soft < 0) == (bits > 0))
         # tiny regularizer: residual bias bounded by the deepest filter null
-        symbols, _ = demodulate(
+        symbols = demodulate(
             tx.samples, np.ones(M, complex), ALL_FILTERS[name], CFG, 1e-12
         )
         assert np.sqrt(np.mean(np.abs(symbols - frame.symbols) ** 2)) < 1e-4
@@ -159,7 +158,7 @@ class TestDemodulate:
         frame = DataFrame.from_bits(bits)
         filt = ALL_FILTERS["sinusoidal"]
         tx = modulate(frame, filt, cfg)
-        symbols, _ = demodulate(tx.samples, np.ones(M, complex), filt, cfg, 1e-12)
+        symbols = demodulate(tx.samples, np.ones(M, complex), filt, cfg, 1e-12)
         assert np.sqrt(np.mean(np.abs(symbols - frame.symbols) ** 2)) < 1e-6
 
     def _measure_sinr(self, filt, cfg, snr_db, n_frames, seed):
@@ -176,7 +175,7 @@ class TestDemodulate:
                 rng.standard_normal(len(tx.samples))
                 + 1j * rng.standard_normal(len(tx.samples))
             )
-            symbols, _ = demodulate(
+            symbols = demodulate(
                 tx.samples + noise, np.ones(cfg.subcarriers, complex), filt, cfg, 1.0 / rho
             )
             sent.append(frame.symbols)
@@ -247,7 +246,7 @@ class TestBoundaryValidation:
         frame = DataFrame.from_bits(bits)
         filt = design_plain(M)
         tx = modulate(frame, filt, CFG)
-        symbols, _ = demodulate(tx.samples, np.ones(M, complex), filt, CFG, 0.0)
+        symbols = demodulate(tx.samples, np.ones(M, complex), filt, CFG, 0.0)
         assert np.max(np.abs(symbols - frame.symbols)) < 1e-12
 
 
@@ -280,11 +279,10 @@ class TestBatch:
         h = 1.0 + 0.3 * (parts[0] + 1j * parts[1])
         for channel_freq, per_frame in ((np.ones(M, complex), [np.ones(M, complex)] * 6),
                                         (h, h)):
-            symbols, soft = demodulate(rx, channel_freq, filt, cfg, 0.05)
+            symbols = demodulate(rx, channel_freq, filt, cfg, 0.05)
             for i in range(6):
                 one = demodulate(rx[i], per_frame[i], filt, cfg, 0.05)
-                np.testing.assert_array_equal(symbols[i], one[0])
-                np.testing.assert_array_equal(soft[i], one[1])
+                np.testing.assert_array_equal(symbols[i], one)
 
     def test_channel_freq_must_match_the_batch(self):
         rx = np.ones((3, CFG.samples_per_frame), complex)
