@@ -28,6 +28,8 @@ from .fdss import FdssFilter
 
 @dataclass(frozen=True)
 class SnrPostReport:
+    """``snr_post`` results; arrays of the SNR grid's shape for an array input."""
+
     alpha_mmse: float
     snr_post: float
     snr_in: float
@@ -35,36 +37,61 @@ class SnrPostReport:
     saturated: bool = False  # true when alpha hit 1 and snr_post is infinite
 
 
-def snr_post(filt: FdssFilter, snr: float, repetition: int = 1) -> SnrPostReport:
+def snr_post(filt: FdssFilter, snr, repetition: int = 1) -> SnrPostReport:
     """Post-equalization, post-despreading SNR for a shaping filter.
 
     ``snr`` is the combined-level SNR (per-subcarrier SNR times the
-    repetition factor); it must be positive and finite.
+    repetition factor); every value must be positive and finite.  A scalar
+    gives a report of floats, an array a report of arrays of its shape,
+    element for element equal to scalar calls.
     """
-    if not (np.isfinite(snr) and snr > 0):
+    scalar = np.ndim(snr) == 0
+    snr_arr = np.asarray(snr, dtype=float)
+    if scalar:
+        valid = math.isfinite(snr) and snr > 0
+    else:
+        valid = np.all(np.isfinite(snr_arr) & (snr_arr > 0))
+    if not valid:
         raise ValueError("snr must be positive and finite")
     r = int(repetition)
     if r < 1 or filt.m % r:
         raise ValueError("repetition must divide the filter band size")
     grouped = (np.abs(filt.coeffs) ** 2).reshape(r, filt.m // r).sum(axis=0)
-    alpha = float(np.mean(grouped / (grouped + r / snr)) ** 2)
-    if alpha >= 1.0:
-        return SnrPostReport(1.0, math.inf, snr, r, saturated=True)
-    post = 1.0 / (math.sqrt(1.0 / alpha) - 1.0)
-    return SnrPostReport(alpha, post, snr, r)
+    ratio = grouped / (grouped + r / snr_arr[..., None])
+    alpha = np.square(np.add.reduce(ratio, axis=-1) / ratio.shape[-1])
+    if scalar:
+        alpha = float(alpha)
+        if alpha >= 1.0:
+            return SnrPostReport(1.0, math.inf, snr, r, saturated=True)
+        return SnrPostReport(alpha, 1.0 / (math.sqrt(1.0 / alpha) - 1.0), snr, r)
+    saturated = alpha >= 1.0
+    alpha = np.minimum(alpha, 1.0)
+    with np.errstate(divide="ignore"):
+        post = 1.0 / (np.sqrt(1.0 / alpha) - 1.0)  # inf where saturated
+    return SnrPostReport(alpha, post, snr_arr, r, saturated)
 
 
-def theoretical_ber_qpsk(snr_post_value: float) -> float:
+def _ber_qpsk(snr_post_value: float) -> float:
+    if snr_post_value < 0:
+        raise ValueError("snr_post must be >= 0")
+    return 0.5 * math.erfc(math.sqrt(snr_post_value / 2.0))
+
+
+# math.erfc element by element: scipy.special.erfc is up to ~1e-14 off in
+# relative terms where math.erfc stays within ~3e-16.
+_ber_qpsk_array = np.frompyfunc(_ber_qpsk, 1, 1)
+
+
+def theoretical_ber_qpsk(snr_post_value):
     """Uncoded Gray-QPSK bit error rate Q(sqrt(SNR_post)).
 
     With symbol SNR rho, each quadrature rail carries rho/2 against noise
     variance rho-normalized likewise, so the per-bit error is Q(sqrt(rho)).
+    A scalar gives a float, an array an array of its shape.
     """
-    if snr_post_value < 0:
-        raise ValueError("snr_post must be >= 0")
-    if math.isinf(snr_post_value):
-        return 0.0
-    return 0.5 * math.erfc(math.sqrt(snr_post_value / 2.0))
+    if np.ndim(snr_post_value) == 0:
+        return _ber_qpsk(float(snr_post_value))
+    return _ber_qpsk_array(np.asarray(snr_post_value, dtype=float)).astype(float)
 
 
 def psd(signal, nfft: int, n_avg: int) -> np.ndarray:

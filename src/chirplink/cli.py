@@ -8,6 +8,7 @@ success, 1 on usage/config errors, 2 when any BER point under-converged.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import jsonschema
@@ -134,12 +135,36 @@ def link_config_from(raw: dict) -> LinkConfig:
     )
 
 
+def _db_to_linear(s: float) -> float:
+    """10^(s/10); inf where Python's float power raises instead of overflowing."""
+    try:
+        return 10.0 ** (s / 10.0)
+    except OverflowError:
+        return math.inf
+
+
+def snr_grid(raw: dict) -> tuple[list, np.ndarray]:
+    """The ``analyze --mode snrpost`` grid: values in dB and linear SNRs.
+
+    Raises ``ValueError`` naming ``snr_db`` unless every value gives a
+    finite, positive linear SNR.
+    """
+    grid_db = raw.get("analysis", {}).get("snr_db", list(np.arange(-10.0, 31.0, 2.0)))
+    snr = np.array([_db_to_linear(s) for s in grid_db])
+    bad = [s for s, v in zip(grid_db, snr) if not (math.isfinite(v) and v > 0)]
+    if bad:
+        raise ValueError(f"analysis/snr_db values {bad} do not give finite positive SNRs")
+    return grid_db, snr
+
+
 def build_run(raw: dict) -> tuple[LinkConfig, FdssFilter]:
     """Sweep configuration and shaping filter for a schema-valid config.
 
-    This is the one boundary where an invalid value becomes a ``UsageError``.
+    This is the one boundary where an invalid value becomes a ``UsageError``;
+    it also checks the ``snrpost`` grid, so no command starts on a bad one.
     """
     try:
+        snr_grid(raw)
         cfg = link_config_from(raw)
         return cfg, cfg.filter
     except ValueError as exc:
@@ -235,15 +260,15 @@ def cmd_analyze(args) -> int:
     ana = raw.get("analysis", {})
     header = _echo_header(raw)
     if args.mode == "snrpost":
-        snr_grid = ana.get("snr_db", list(np.arange(-10.0, 31.0, 2.0)))
+        grid_db, snr = snr_grid(raw)
+        rep = analysis.snr_post(filt, snr, frame.repetition)
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(header)
             fh.write(f"# repetition: {frame.repetition}\n")
             fh.write("snr_db,snr_post_db,alpha_mmse\n")
-            for s in snr_grid:
-                rep = analysis.snr_post(filt, 10.0 ** (s / 10.0), frame.repetition)
-                post_db = 10.0 * np.log10(rep.snr_post) if not rep.saturated else np.inf
-                fh.write(f"{s:.6f},{post_db:.6f},{rep.alpha_mmse:.9e}\n")
+            post_db = 10.0 * np.log10(rep.snr_post)  # inf where saturated
+            for s, p, alpha in zip(grid_db, post_db, rep.alpha_mmse):
+                fh.write(f"{s:.6f},{p:.6f},{alpha:.9e}\n")
     elif args.mode == "psd":
         n_frames = int(ana.get("psd_frames", 1000))
         rng = np.random.default_rng(cfg.seed)

@@ -8,8 +8,9 @@ a bank of M circularly time-shifted chirps.  This module provides:
 * ``design_plain``       flat (all-ones) reference filter,
 * ``design_sinusoidal``  closed form via Bessel functions of the first kind,
 * ``design_linear``      closed form via Fresnel integrals,
-* ``design_arbitrary``   any periodic frequency trajectory, by convolving
-  upsampled Bessel coefficient sequences (one per trajectory harmonic),
+* ``design_arbitrary``   any periodic frequency trajectory, as the product
+  of upsampled Bessel coefficient sequences (one per trajectory harmonic),
+  convolved in one FFT product,
 * ``triangular_trajectory``  the classic down/up triangular sweep.
 
 Every design returns coefficients rescaled to ``sum |c_k|^2 = M`` so that
@@ -38,6 +39,9 @@ HARMONIC_SKIP_EPS = 1e-8
 
 #: Bessel orders whose magnitude falls below this are cut from a harmonic factor.
 BESSEL_TAIL_EPS = 1e-12
+
+#: Points of the uniform phase grid on which a trajectory's slope span is checked.
+SLOPE_GRID = 4096
 
 
 def band_limits(m: int) -> tuple[int, int]:
@@ -204,7 +208,8 @@ class ChirpTrajectory:
 
     and the trajectory must be slope-normalized: max |df/dx| = 1 so the
     instantaneous frequency sweeps exactly +/- D/(2T).  The constructor
-    verifies the normalization within 1% on a dense grid.
+    verifies the normalization within 1% on the ``SLOPE_GRID``-point grid
+    x_l = 2 pi l / SLOPE_GRID (see :meth:`_grid_slope`).
     """
 
     a0: float = 0.0
@@ -223,8 +228,7 @@ class ChirpTrajectory:
             raise ValueError("deviation must be positive")
         object.__setattr__(self, "cos_coeffs", a)
         object.__setattr__(self, "sin_coeffs", b)
-        x = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
-        sl = self.slope(x)
+        sl = self._grid_slope()
         hi, lo = sl.max(), sl.min()
         if abs(hi - 1.0) > 0.01 or abs(lo + 1.0) > 0.01:
             raise ValueError(
@@ -252,6 +256,20 @@ class ChirpTrajectory:
         return (self.sin_coeffs * n) @ np.cos(np.outer(n, x)) - (
             self.cos_coeffs * n
         ) @ np.sin(np.outer(n, x))
+
+    def _grid_slope(self) -> np.ndarray:
+        """df/dx on the grid x_l = 2 pi l / SLOPE_GRID, by one inverse FFT.
+
+        df/dx = Re sum_n (n b_n + j n a_n) e^{j n x}.  On the grid, harmonic n
+        is indistinguishable from n mod SLOPE_GRID, so every harmonic is
+        folded onto that bin before the unscaled inverse transform.
+        """
+        n = np.arange(1, self.n_harmonics + 1)
+        bins = n % SLOPE_GRID
+        spectrum = np.bincount(bins, n * self.sin_coeffs, SLOPE_GRID) + 1j * np.bincount(
+            bins, n * self.cos_coeffs, SLOPE_GRID
+        )
+        return np.fft.ifft(spectrum, norm="forward").real
 
 
 def triangular_trajectory(
@@ -313,7 +331,8 @@ def design_arbitrary(traj: ChirpTrajectory, m: int) -> FdssFilter:
     contributes exp(j (D/2)(a_n cos nx + b_n sin nx)) = exp(j z sin(nx + phi))
     with z = (D/2) hypot(a_n, b_n) and phi = atan2(a_n, b_n): one upsampled
     Bessel coefficient sequence.  The filter is the convolution of all factor
-    sequences restricted to the occupied band.  Harmonics whose z is below
+    sequences, taken in one FFT product by :func:`numerics.convolve_full`,
+    restricted to the occupied band.  Harmonics whose z is below
     ``HARMONIC_SKIP_EPS`` act as Kronecker deltas and are skipped.  The
     energy lost by restricting to the band (one minus the in-band energy, by
     Parseval) is reported as ``truncation_loss`` so callers can detect
@@ -321,12 +340,12 @@ def design_arbitrary(traj: ChirpTrajectory, m: int) -> FdssFilter:
     """
     _check_deviation(traj.deviation, m)
     half_dev = traj.deviation / 2.0
-    seq = np.ones(1, dtype=complex)
+    factors = []
     for n, (a, b) in enumerate(zip(traj.cos_coeffs, traj.sin_coeffs), start=1):
         z = half_dev * np.hypot(a, b)
-        if z < HARMONIC_SKIP_EPS:
-            continue
-        seq = numerics.convolve_full(seq, _harmonic_factor(n, z, np.arctan2(a, b)))
+        if z >= HARMONIC_SKIP_EPS:
+            factors.append(_harmonic_factor(n, z, np.arctan2(a, b)))
+    seq = numerics.convolve_full(*factors)
     phase = np.exp(1j * traj.deviation * traj.a0 / 4.0)
     lo, hi = band_limits(m)
     # seq is centred on index 0; zero-pad it to cover the band, then cut the band out.

@@ -13,8 +13,10 @@ arrays, and follow the pi/2-normalized convention
 which is the convention that makes the linear-chirp shaping closed form
 agree with a direct Fourier-integral evaluation.
 
-``dft`` fixes the transform scaling and ``convolve_full`` multiplies two
-Fourier series given as coefficient arrays centred on index 0.
+``dft`` fixes the transform scaling.  ``convolve_full`` multiplies any
+number of Fourier series given as coefficient arrays centred on index 0,
+as one FFT product over a length that holds the whole linear convolution,
+so the circular product cannot wrap around.
 """
 
 from __future__ import annotations
@@ -85,11 +87,45 @@ def dft(values, inverse: bool = False) -> np.ndarray:
     return np.fft.ifft(values) if inverse else np.fft.fft(values)
 
 
-def convolve_full(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Linear (aperiodic) convolution of two centred coefficient arrays.
+def _fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length the FFT handles at full speed."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power-of-two multiple of p35 that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def convolve_full(*factors: np.ndarray) -> np.ndarray:
+    """Linear (aperiodic) convolution of any number of centred coefficient arrays.
 
     A centred array of odd length L holds the coefficients at indices
-    -(L-1)/2 .. (L-1)/2.  The output, of length ``len(a) + len(b) - 1``,
+    -(L-1)/2 .. (L-1)/2.  The output, of length ``sum(L_i) - (count - 1)``,
     is centred again: its start index is the sum of the input start indices.
+    No factors give ``[1]``.
+
+    Every factor is laid out circularly (index k at FFT position k mod size)
+    on one fast FFT length of at least the output length, so the product of
+    the spectra is the linear convolution with no wrap-around; one inverse
+    FFT returns it.  With index 0 at position 0 a factor close to a unit
+    delta has a spectrum close to 1 rather than a phase ramp, which keeps
+    the roundoff of the product at the level of a direct sum.
     """
-    return np.convolve(a, b)
+    if any(len(f) % 2 == 0 for f in factors):
+        raise ValueError("centred coefficient arrays must have odd length")
+    half = sum(len(f) // 2 for f in factors)
+    size = _fast_len(2 * half + 1)
+    spectrum = np.ones(size, dtype=complex)
+    for f in factors:
+        h = len(f) // 2
+        circular = np.zeros(size, dtype=complex)
+        circular[: h + 1] = f[h:]
+        circular[size - h :] = f[:h]
+        spectrum *= np.fft.fft(circular)
+    out = np.fft.ifft(spectrum)
+    return np.concatenate((out[size - half :], out[: half + 1]))

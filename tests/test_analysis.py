@@ -93,12 +93,43 @@ class TestSnrPost:
             snr_post(FILTERS["plain"], 0.0, 1)
         with pytest.raises(ValueError):
             snr_post(FILTERS["plain"], 10.0, 5)
+        for bad in (np.array([1.0, 0.0]), np.array([1.0, np.inf]), np.array([[np.nan]])):
+            with pytest.raises(ValueError):
+                snr_post(FILTERS["plain"], bad, 1)
+
+    @pytest.mark.parametrize("name", list(FILTERS))
+    @pytest.mark.parametrize("repetition", [1, 4])
+    def test_array_equals_scalar_calls(self, name, repetition):
+        # the last three saturate (alpha = 1, snr_post = inf) for the flat filter
+        snr = np.concatenate([10.0 ** (np.linspace(-30.0, 60.0, 240) / 10.0), [1e17, 1e20, 1e300]])
+        report = snr_post(FILTERS[name], snr.reshape(3, -1), repetition)
+        assert report.alpha_mmse.shape == report.snr_post.shape == (3, len(snr) // 3)
+        singles = [snr_post(FILTERS[name], float(s), repetition) for s in snr]
+        np.testing.assert_array_equal(report.alpha_mmse.ravel(), [r.alpha_mmse for r in singles])
+        np.testing.assert_array_equal(report.snr_post.ravel(), [r.snr_post for r in singles])
+        np.testing.assert_array_equal(report.saturated.ravel(), [r.saturated for r in singles])
+        if name == "plain":
+            assert report.saturated.ravel()[-2:].all() and np.isinf(report.snr_post.ravel()[-1])
+
+    def test_scalar_gives_floats(self):
+        report = snr_post(FILTERS["sinusoidal"], np.float64(10.0), 1)
+        assert type(report.alpha_mmse) is float and type(report.snr_post) is float
+        assert type(report.saturated) is bool
 
 
 class TestTheoreticalBer:
     def test_endpoints(self):
         assert theoretical_ber_qpsk(0.0) == 0.5
         assert theoretical_ber_qpsk(math.inf) == 0.0
+
+    def test_array_equals_scalar_calls(self):
+        xs = np.concatenate([np.linspace(0.0, 40.0, 401), [1e3, math.inf]])
+        ber = theoretical_ber_qpsk(xs.reshape(1, -1))
+        assert ber.shape == (1, len(xs)) and ber.dtype == float
+        np.testing.assert_array_equal(ber.ravel(), [theoretical_ber_qpsk(x) for x in xs])
+        assert type(theoretical_ber_qpsk(np.float64(2.0))) is float
+        with pytest.raises(ValueError):
+            theoretical_ber_qpsk(np.array([1.0, -1.0]))
 
     def test_strictly_decreasing(self):
         xs = np.linspace(0.0, 40.0, 200)

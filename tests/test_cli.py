@@ -47,6 +47,13 @@ INVALID_CONFIGS = {
     "inf_rician_k": BASE_CONFIG.replace("type: awgn", "type: multipath\n  rician_k: .inf"),
     "nan_rician_k": BASE_CONFIG.replace("type: awgn", "type: multipath\n  rician_k: .nan"),
 }
+# snrpost grid values whose linear SNR 10^(s/10) overflows, is not finite or underflows to 0
+BAD_SNR_DB = {"huge_snr_db": "4000.0", "inf_snr_db": ".inf", "nan_snr_db": ".nan",
+              "tiny_snr_db": "-4000.0"}
+INVALID_CONFIGS.update(
+    (case, BASE_CONFIG + f"analysis:\n  snr_db: [0.0, {value}]\n")
+    for case, value in BAD_SNR_DB.items()
+)
 
 
 @pytest.fixture
@@ -202,6 +209,42 @@ class TestAnalyze:
                 if ln and "," in ln and not ln.startswith(("#", "waveform"))}
         assert set(rows) == {"plain", "linear", "sinusoidal", "triangular"}
         assert float(rows["sinusoidal"][1]) < float(rows["linear"][1])
+
+    @pytest.mark.parametrize("case", sorted(BAD_SNR_DB))
+    def test_bad_snr_grid_writes_nothing(self, case, tmp_path, capsys):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(INVALID_CONFIGS[case].replace("{waveform}", "plain"))
+        out = tmp_path / "snr.csv"
+        rc = cli.main(["analyze", "--config", str(cfg), "--mode", "snrpost", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "snr_db" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    # sha256 of the snrpost data rows as a loop of scalar snr_post calls wrote
+    # them (default grid, and an explicit grid with YAML ints).
+    PINNED_SNRPOST = {
+        ("sinusoidal", 1, None): "ed6bfd003c0897c3416bb57eff36bb109bdfa81c46caa97e9c7514a70e81f0c4",
+        ("triangular", 4, "[-12.5, -3, 0.0, 7.25, 18, 31.5, 45.0]"):
+            "b382a3ebc4bd1e08069b840afa8edd2ee8e539a7fc706cbd8f69b64be4796ad2",
+    }
+
+    @pytest.mark.parametrize("waveform, repetition, grid", sorted(PINNED_SNRPOST, key=str))
+    def test_snrpost_rows_pinned(self, waveform, repetition, grid, tmp_path):
+        text = BASE_CONFIG.format(waveform=waveform).replace(
+            "repetition: 1", f"repetition: {repetition}")
+        if grid:
+            text += f"analysis:\n  snr_db: {grid}\n"
+        cfg = tmp_path / "pin.yaml"
+        cfg.write_text(text)
+        out = tmp_path / "out.csv"
+        assert cli.main(["analyze", "--config", str(cfg), "--mode", "snrpost",
+                         "--out", str(out)]) == 0
+        rows = "".join(ln for ln in out.read_text().splitlines(keepends=True)
+                       if not ln.startswith("#"))
+        digest = hashlib.sha256(rows.encode()).hexdigest()
+        assert digest == self.PINNED_SNRPOST[waveform, repetition, grid]
 
     # sha256 of the data rows (below the comment header) for sinusoidal
     # shaping and 300 PSD frames, as written by the frame-by-frame loop.

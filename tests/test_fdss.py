@@ -142,6 +142,29 @@ class TestTrajectory:
         expect = np.array([1.0, 0.0, -1.0])
         np.testing.assert_allclose(traj.slope(x), expect, atol=7e-3)
 
+    @pytest.mark.parametrize("n_harmonics", [41, 64, 128])
+    def test_grid_slope_matches_series(self, n_harmonics):
+        traj = triangular_trajectory(n_harmonics)
+        x = 2 * np.pi * np.arange(fdss.SLOPE_GRID) / fdss.SLOPE_GRID
+        assert np.max(np.abs(traj._grid_slope() - traj.slope(x))) < 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2047, 2048, 2049, 3000, 4096, 5000])
+    def test_grid_slope_folds_high_harmonics(self, n):
+        # b_n = 1/n alone: slope cos(n x_l) on the grid x_l = 2 pi l / G,
+        # with n l reduced mod G so the closed form is exact.  At n = G every
+        # grid point sees cos(0) = 1, so the span check must fail.
+        g = fdss.SLOPE_GRID
+        closed = np.cos(2 * np.pi * (n * np.arange(g) % g) / g)
+        accepted = abs(closed.max() - 1.0) <= 0.01 and abs(closed.min() + 1.0) <= 0.01
+        b = np.zeros(n)
+        b[-1] = 1.0 / n
+        if accepted:
+            ChirpTrajectory(0.0, np.zeros(n), b, 10.0)
+        else:
+            with pytest.raises(ValueError):
+                ChirpTrajectory(0.0, np.zeros(n), b, 10.0)
+        assert accepted == (n != g)
+
 
 class TestArbitrary:
     def test_pure_sine_reproduces_sinusoidal(self):
@@ -172,6 +195,34 @@ class TestArbitrary:
         oversample = 16 * m
         x = 2 * np.pi * np.arange(oversample) / oversample
         oracle = np.fft.fft(np.exp(0.5j * dev * (a * np.cos(x) + b * np.sin(x)))) / oversample
+        oracle = oracle[filt.subcarriers % oversample]
+        oracle *= np.sqrt(m / np.sum(np.abs(oracle) ** 2))
+        assert np.max(np.abs(filt.coeffs - oracle)) < 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        harmonics=st.lists(st.sampled_from([1, 3, 5, 7]), min_size=1, max_size=3, unique=True),
+        m=st.sampled_from([32, 64, 96]),
+        dev_fraction=st.floats(0.05, 0.9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_trajectory_against_oversampled_oracle(self, harmonics, m, dev_fraction, seed):
+        # odd harmonics only: slope(x + pi) = -slope(x), so scaling the grid
+        # maximum to 1 also puts the minimum at -1 (both are grid points)
+        rng = np.random.default_rng(seed)
+        a, b = np.zeros(max(harmonics)), np.zeros(max(harmonics))
+        idx = np.array(harmonics) - 1
+        a[idx], b[idx] = rng.uniform(-1, 1, (2, len(idx)))
+        x = 2 * np.pi * np.arange(fdss.SLOPE_GRID) / fdss.SLOPE_GRID
+        n = np.arange(1, len(a) + 1)
+        peak = np.max((b * n) @ np.cos(np.outer(n, x)) - (a * n) @ np.sin(np.outer(n, x)))
+        a, b = a / peak, b / peak
+        dev = dev_fraction * m
+        filt = design_arbitrary(ChirpTrajectory(0.0, a, b, dev), m)
+        oversample = 16 * m
+        xo = 2 * np.pi * np.arange(oversample) / oversample
+        f = a @ np.cos(np.outer(n, xo)) + b @ np.sin(np.outer(n, xo))
+        oracle = np.fft.fft(np.exp(0.5j * dev * f)) / oversample
         oracle = oracle[filt.subcarriers % oversample]
         oracle *= np.sqrt(m / np.sum(np.abs(oracle) ** 2))
         assert np.max(np.abs(filt.coeffs - oracle)) < 1e-9

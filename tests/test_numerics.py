@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from chirplink import numerics
@@ -184,19 +186,25 @@ class TestDft:
 
 
 class TestConvolveFull:
-    """Centred arrays: length L holds the coefficients at -(L-1)/2 .. (L-1)/2."""
+    """Centred arrays: length L holds the coefficients at -(L-1)/2 .. (L-1)/2.
+
+    The FFT product is exact only up to roundoff, so results are checked
+    within 1e-13 of the largest expected coefficient.
+    """
 
     def test_identity(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         out = convolve_full(a, np.ones(1))
-        np.testing.assert_array_equal(out, a)
+        assert out.shape == a.shape
+        assert np.max(np.abs(out - a)) <= 1e-13 * np.max(np.abs(a))
 
     def test_start_index_arithmetic(self):
         # start indices -1 and -2 add to -3, the start of a centred length-7 array
         out = convolve_full(np.ones(3), np.ones(5))
         assert len(out) == 7
-        np.testing.assert_array_equal(out, [1, 2, 3, 3, 3, 2, 1])
+        expect = np.array([1, 2, 3, 3, 3, 2, 1])
+        assert np.max(np.abs(out - expect)) <= 1e-13 * 3
 
     def test_against_double_loop_oracle(self):
         rng = np.random.default_rng(11)
@@ -209,3 +217,25 @@ class TestConvolveFull:
                 expect[i + j + 7] += a[i + 3] * b[j + 4]
         out = convolve_full(a, b)
         assert np.max(np.abs(out - expect)) < 1e-13
+
+    def test_no_factors_is_one(self):
+        np.testing.assert_array_equal(convolve_full(), [1.0])
+
+    def test_rejects_even_length(self):
+        with pytest.raises(ValueError):
+            convolve_full(np.ones(3), np.ones(4))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(0, 40).map(lambda h: 2 * h + 1), max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_chained_convolve(self, lengths, seed):
+        rng = np.random.default_rng(seed)
+        factors = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in lengths]
+        expect = np.ones(1, dtype=complex)
+        for f in factors:
+            expect = np.convolve(expect, f)
+        out = convolve_full(*factors)
+        assert out.shape == expect.shape
+        assert np.max(np.abs(out - expect)) <= 1e-13 * np.max(np.abs(expect))
