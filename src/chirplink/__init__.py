@@ -11,7 +11,7 @@ and evaluates uncoded link performance against closed-form theory.
 __version__ = "0.1.0"
 
 from .analysis import SnrPostReport, nmse_db, papr, psd, snr_post, spectrogram, theoretical_ber_qpsk
-from .channel import ChannelProfile, ChannelRealization, draw, freq_response
+from .channel import ChannelProfile, draw, freq_response
 from .fdss import (
     ChirpTrajectory,
     FdssFilter,
@@ -31,7 +31,6 @@ __all__ = [
     "BerCurve",
     "BerPoint",
     "ChannelProfile",
-    "ChannelRealization",
     "ChirpTrajectory",
     "DataFrame",
     "FdssFilter",

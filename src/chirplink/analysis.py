@@ -28,12 +28,14 @@ from .fdss import FdssFilter
 
 @dataclass(frozen=True)
 class SnrPostReport:
-    """``snr_post`` results; arrays of the SNR grid's shape for an array input."""
+    """``snr_post`` results; arrays of the SNR grid's shape for an array input.
+
+    The inputs (SNR grid, repetition factor) are the caller's and are not
+    echoed back.
+    """
 
     alpha_mmse: float
     snr_post: float
-    snr_in: float
-    repetition: int
     saturated: bool = False  # true when alpha hit 1 and snr_post is infinite
 
 
@@ -62,13 +64,13 @@ def snr_post(filt: FdssFilter, snr, repetition: int = 1) -> SnrPostReport:
     if scalar:
         alpha = float(alpha)
         if alpha >= 1.0:
-            return SnrPostReport(1.0, math.inf, snr, r, saturated=True)
-        return SnrPostReport(alpha, 1.0 / (math.sqrt(1.0 / alpha) - 1.0), snr, r)
+            return SnrPostReport(1.0, math.inf, saturated=True)
+        return SnrPostReport(alpha, 1.0 / (math.sqrt(1.0 / alpha) - 1.0))
     saturated = alpha >= 1.0
     alpha = np.minimum(alpha, 1.0)
     with np.errstate(divide="ignore"):
         post = 1.0 / (np.sqrt(1.0 / alpha) - 1.0)  # inf where saturated
-    return SnrPostReport(alpha, post, snr_arr, r, saturated)
+    return SnrPostReport(alpha, post, saturated)
 
 
 def _ber_qpsk(snr_post_value: float) -> float:

@@ -5,15 +5,16 @@ at consecutive sample delays, first tap Rician with K = 10 (linear), the
 rest Rayleigh.  Tap powers are normalized so the average channel energy is
 one.  A realization is held constant over a symbol and redrawn per frame.
 
-A realization may carry one frame's taps, shape (L,), or a block of B
-frames' taps, (B, L); ``apply`` and ``freq_response`` then act on each
-frame along the last axis, row for row as the single-frame calls would.
+A realization is its impulse response: a complex array over delays
+0 .. max_delay, each tap at its delay.  It may hold one frame, shape
+(max_delay + 1,), or a block of B frames, (B, max_delay + 1); ``apply`` and
+``freq_response`` then act on each frame along the last axis, row for row
+as the single-frame calls would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -51,40 +52,25 @@ class ChannelProfile:
         return self.tap_delays[-1]
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    taps: np.ndarray
-    delays: tuple
-
-    def __post_init__(self):
-        taps = np.asarray(self.taps, dtype=complex)
-        delays = tuple(int(d) for d in self.delays)
-        if not np.all(np.isfinite(taps)):
-            raise ValueError("taps must be finite")
-        if taps.shape[-1:] != (len(delays),) or not delays or min(delays) < 0:
-            raise ValueError("need one non-negative delay per tap")
-        object.__setattr__(self, "taps", taps)
-        object.__setattr__(self, "delays", delays)
-
-    @cached_property
-    def impulse(self) -> np.ndarray:
-        """Impulse response over delays 0 .. max delay (taps summed per delay)."""
-        h = np.zeros(self.taps.shape[:-1] + (max(self.delays) + 1,), dtype=complex)
-        for i, d in enumerate(self.delays):
-            h[..., d] += self.taps[..., i]
-        return h
+def _impulse(h) -> np.ndarray:
+    """The caller's impulse response as a complex array, checked nonempty and finite."""
+    h = np.asarray(h, dtype=complex)
+    if h.ndim < 1 or h.shape[-1] == 0 or not np.all(np.isfinite(h)):
+        raise ValueError(f"impulse response must be nonempty and finite, got shape {h.shape}")
+    return h
 
 
 def draw(
     profile: ChannelProfile, rng: np.random.Generator, count: int | None = None
-) -> ChannelRealization:
-    """Draw one channel realization, or ``count`` of them as (count, L) taps.
+) -> np.ndarray:
+    """Draw one impulse response, shape (max_delay + 1,), or ``count`` as (count, ·).
 
     Tap 0 is Rician: deterministic component sqrt(p0*K/(K+1)) plus circular
     complex Gaussian of variance p0/(K+1).  Remaining taps are circular
-    complex Gaussian (Rayleigh envelopes) with variances p_i.  All normals
-    come from one ``standard_normal((count, L, 2))`` call, so row i equals
-    the (i+1)-th of ``count`` single draws from the same generator.
+    complex Gaussian (Rayleigh envelopes) with variances p_i.  Each tap is
+    written to its delay; delays without a tap are zero.  All normals come
+    from one ``standard_normal((count, L, 2))`` call, so row i equals the
+    (i+1)-th of ``count`` single draws from the same generator.
     """
     p = profile.tap_powers
     k = profile.rician_k
@@ -92,19 +78,21 @@ def draw(
     scale[0] = np.sqrt(p[0] / (k + 1.0) / 2.0)
     lead = () if count is None else (count,)
     normals = rng.standard_normal(lead + (len(p), 2))
-    taps = scale * (normals[..., 0] + 1j * normals[..., 1])
-    taps[..., 0] += np.sqrt(p[0] * k / (k + 1.0))
-    return ChannelRealization(taps, profile.tap_delays)
+    delays = list(profile.tap_delays)
+    h = np.zeros(lead + (profile.max_delay + 1,), dtype=complex)
+    h[..., delays] = scale * (normals[..., 0] + 1j * normals[..., 1])
+    h[..., delays[0]] += np.sqrt(p[0] * k / (k + 1.0))
+    return h
 
 
-def apply(signal, ch: ChannelRealization) -> np.ndarray:
+def apply(signal, h) -> np.ndarray:
     """Tapped-delay-line filtering (no noise), truncated to the input length.
 
     The discarded convolution tail is what the cyclic prefix absorbs.  The
     result is a fresh array.
     """
     x = np.asarray(signal, dtype=complex)
-    h = ch.impulse
+    h = _impulse(h)
     length = x.shape[-1]
     if length < h.shape[-1] - 1:
         raise ValueError("signal shorter than the channel memory")
@@ -115,13 +103,15 @@ def apply(signal, ch: ChannelRealization) -> np.ndarray:
     return y
 
 
-def freq_response(ch: ChannelRealization, n: int) -> np.ndarray:
-    """Frequency response H_k = sum_i tap_i e^{-j 2 pi k d_i / n}, natural order.
+def freq_response(h, n: int) -> np.ndarray:
+    """Frequency response H_k = sum_d h_d e^{-j 2 pi k d / n}, natural order.
 
-    Shape (n,) for one realization, (B, n) for B.  For any frame whose CP
-    covers the channel memory, the DFT of the channel output equals H_k
+    Shape (n,) for one impulse response, (B, n) for B.  For any frame whose
+    CP covers the channel memory, the DFT of the channel output equals H_k
     times the DFT of the body bin by bin.
     """
-    if n <= max(ch.delays):
-        raise ValueError(f"need n > the channel memory {max(ch.delays)}, got n = {n}")
-    return np.fft.fft(ch.impulse, n, axis=-1)
+    h = _impulse(h)
+    memory = h.shape[-1] - 1
+    if n <= memory:
+        raise ValueError(f"need n > the channel memory {memory}, got n = {n}")
+    return np.fft.fft(h, n, axis=-1)

@@ -43,7 +43,6 @@ CONFIG_SCHEMA = {
         "waveform": {"enum": list(WAVEFORMS)},
         "deviation": {"type": "number", "exclusiveMinimum": 0},
         "n_harmonics": {"type": "integer", "minimum": 1},
-        "output_dir": {"type": "string"},
         "frame": {
             "type": "object",
             "additionalProperties": False,
@@ -215,7 +214,11 @@ def cmd_synthesize(args) -> int:
     cfg, filt = build_run(raw)
     frame = cfg.frame
     data = parse_data_spec(args.data, frame.symbols_per_frame)
-    tx = transceiver.modulate(DataFrame(data), filt, frame)
+    try:  # both outputs are computed before either file is opened
+        tx = transceiver.modulate(DataFrame(data), filt, frame)
+        spec = analysis.spectrogram(tx.samples[frame.cp_len :], win_len=args.win_len, hop=args.hop)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     header = _echo_header(raw)
 
     time_path = f"{args.out_prefix}time.csv"
@@ -226,8 +229,6 @@ def cmd_synthesize(args) -> int:
         for i, v in enumerate(tx.samples):
             fh.write(f"{i},{v.real:.9e},{v.imag:.9e}\n")
 
-    body = tx.samples[frame.cp_len :]
-    spec = analysis.spectrogram(body, win_len=args.win_len, hop=args.hop)
     spec_path = f"{args.out_prefix}spectrogram.csv"
     with open(spec_path, "w", encoding="ascii") as fh:
         fh.write(header)
@@ -306,8 +307,6 @@ def cmd_analyze(args) -> int:
                 tx = transceiver.modulate(DataFrame.from_bits(bits), filt, frame)
                 vals = [analysis.papr(body) for body in tx.samples[:, frame.cp_len :]]
                 fh.write(f"{wf},{single_papr:.4f},{np.mean(vals):.4f}\n")
-    else:
-        raise UsageError(f"unknown analyze mode {args.mode!r}")
     print(f"wrote {args.out}")
     return EXIT_OK
 

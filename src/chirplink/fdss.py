@@ -53,27 +53,29 @@ def band_limits(m: int) -> tuple[int, int]:
 class FdssFilter:
     """Unit-average-power shaping coefficients over subcarriers k = l_down .. l_up.
 
-    ``coeffs[i]`` is the weight of subcarrier ``l_down + i``.  A filter is
-    always unit-average-power: the constructor rejects coefficients unless
-    ``sum |c_k|^2 = m`` (relative tolerance 1e-9).
+    ``coeffs[i]`` is the weight of subcarrier ``l_down + i``; the band size
+    ``m`` is ``len(coeffs)``.  A filter is always unit-average-power: the
+    constructor rejects coefficients unless ``sum |c_k|^2 = m`` (relative
+    tolerance 1e-9).  ``truncation_loss`` is keyword-only.
     """
 
     coeffs: np.ndarray
-    m: int
-    truncation_loss: float = 0.0
+    truncation_loss: float = field(default=0.0, kw_only=True)
 
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=complex)
         object.__setattr__(self, "coeffs", coeffs)
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-        if coeffs.ndim != 1 or len(coeffs) != self.m:
-            raise ValueError(f"expected {self.m} coefficients, got {coeffs.shape}")
+        if coeffs.ndim != 1 or len(coeffs) == 0:
+            raise ValueError(f"need a nonempty 1-d coefficient array, got shape {coeffs.shape}")
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("coefficients must be finite")
         power = float(np.sum(np.abs(coeffs) ** 2))
         if abs(power - self.m) > 1e-9 * self.m:
             raise ValueError(f"unit-average-power filter has sum |c|^2 = {power}, want {self.m}")
+
+    @property
+    def m(self) -> int:
+        return len(self.coeffs)
 
     @property
     def l_down(self) -> int:
@@ -127,14 +129,12 @@ def load_filter_csv(path) -> FdssFilter:
     lo, hi = band_limits(m)
     if ks != list(range(lo, hi + 1)):
         raise ValueError("filter CSV subcarrier indices are not the contiguous occupied band")
-    return FdssFilter(np.array(vals), m)
+    return FdssFilter(np.array(vals))
 
 
 def design_plain(m: int) -> FdssFilter:
     """All-ones filter: plain DFT-spread-OFDM, no spectral shaping."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return FdssFilter(np.ones(m, dtype=complex), m)
+    return FdssFilter(np.ones(m, dtype=complex))
 
 
 def _from_fourier(raw: np.ndarray, m: int) -> FdssFilter:
@@ -145,7 +145,7 @@ def _from_fourier(raw: np.ndarray, m: int) -> FdssFilter:
     loss.
     """
     power = float(np.sum(np.abs(raw) ** 2))
-    return FdssFilter(raw * np.sqrt(m / power), m, truncation_loss=max(0.0, 1.0 - power))
+    return FdssFilter(raw * np.sqrt(m / power), truncation_loss=max(0.0, 1.0 - power))
 
 
 def _check_deviation(deviation: float, m: int) -> None:

@@ -176,18 +176,18 @@ def sample_noise_variance(subcarrier_snr: float, cfg: FrameConfig) -> float:
 
 
 def _draw_block(cfg: LinkConfig, rng: np.random.Generator, b: int):
-    """``(bits, ch, noise)``: every random number of ``b`` frames, in stream order.
+    """``(bits, h, noise)``: every random number of ``b`` frames, in stream order.
 
     The bits, ``integers(0, 2, (b, bits_per_frame))``; for multipath only,
-    ``ch = channel.draw(profile, rng, b)`` (else None); then the real and
-    the imaginary noise parts, each (b, N + CP) standard normals, as
-    ``noise[0]`` and ``noise[1]``.  This order and ``FRAME_BLOCK`` fix the
-    BER CSV bytes.
+    the (b, max_delay + 1) impulse responses ``h = channel.draw(profile,
+    rng, b)`` (else None); then the real and the imaginary noise parts,
+    each (b, N + CP) standard normals, as ``noise[0]`` and ``noise[1]``.
+    This order and ``FRAME_BLOCK`` fix the BER CSV bytes.
     """
     bits = rng.integers(0, 2, (b, cfg.frame.bits_per_frame))
-    ch = None if cfg.channel_profile is None else channel.draw(cfg.channel_profile, rng, b)
+    h = None if cfg.channel_profile is None else channel.draw(cfg.channel_profile, rng, b)
     noise = rng.standard_normal((2, b, cfg.frame.samples_per_frame))
-    return bits, ch, noise
+    return bits, h, noise
 
 
 def _simulate_point(
@@ -207,12 +207,12 @@ def _simulate_point(
         bits_sent < cfg.min_bits or errors < cfg.min_errors
     ):
         block = min(FRAME_BLOCK, cfg.max_frames - frames)
-        bits, ch, noise = _draw_block(cfg, rng, block)
+        bits, h, noise = _draw_block(cfg, rng, block)
         rx = transceiver.modulate(DataFrame.from_bits(bits), filt, frame).samples
         h_band = np.ones(frame.subcarriers)
-        if ch is not None:
-            rx = channel.apply(rx, ch)
-            h_band = channel.freq_response(ch, frame.idft_size)[
+        if h is not None:
+            rx = channel.apply(rx, h)
+            h_band = channel.freq_response(h, frame.idft_size)[
                 :, filt.subcarriers % frame.idft_size
             ]
         rx.real += noise_scale * noise[0]  # rx is a fresh array

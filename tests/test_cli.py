@@ -129,6 +129,22 @@ class TestSynthesize:
                        "--data", "400=1", "--out-prefix", str(tmp_path / "s_")])
         assert rc == 1
 
+    @pytest.mark.parametrize("flags", [
+        pytest.param(["--data", "0=nan"], id="nan_data"),
+        pytest.param(["--data", "0=1,3=inf"], id="inf_data"),
+        pytest.param(["--data", "0=1", "--win-len", "0"], id="zero_win_len"),
+        pytest.param(["--data", "0=1", "--win-len", "1000"], id="win_len_above_n"),
+        pytest.param(["--data", "0=1", "--hop", "0"], id="zero_hop"),
+    ])
+    def test_bad_input_writes_nothing(self, flags, plain_config, tmp_path, capsys):
+        rc = cli.main(["synthesize", "--config", str(plain_config),
+                       "--out-prefix", str(tmp_path / "s_"), *flags])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("s_*"))
+
 
 class TestBer:
     def test_runs_and_reproduces(self, plain_config, tmp_path):
@@ -299,11 +315,12 @@ class TestAnalyze:
 
 class TestConfigValidation:
     def test_unknown_keys_rejected_and_named(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.yaml"
-        cfg.write_text(BASE_CONFIG.format(waveform="plain") + "coding_rate: 0.5\n")
-        rc = cli.main(["ber", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
-        assert rc == 1
-        assert "coding_rate" in capsys.readouterr().err
+        for key, value in (("coding_rate", "0.5"), ("output_dir", "results")):
+            cfg = tmp_path / "bad.yaml"
+            cfg.write_text(BASE_CONFIG.format(waveform="plain") + f"{key}: {value}\n")
+            rc = cli.main(["ber", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+            assert rc == 1
+            assert key in capsys.readouterr().err
 
     def test_nested_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"

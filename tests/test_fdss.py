@@ -46,8 +46,9 @@ class TestPlain:
         assert band_limits(336) == (-167, 168)
 
     def test_rejects_bad_m(self):
-        with pytest.raises(ValueError):
-            design_plain(0)
+        for m in (0, -1):
+            with pytest.raises(ValueError):
+                design_plain(m)
 
 
 class TestSinusoidal:
@@ -283,7 +284,20 @@ class TestFilterInvariants:
 
     def test_raw_power_bound_validated(self):
         # every filter is unit-average-power: sum |c|^2 must equal m
-        fdss.FdssFilter(np.ones(4, dtype=complex), 4)  # ok
+        assert fdss.FdssFilter(np.ones(4, dtype=complex)).m == 4  # ok
         for coeffs in (np.full(4, 2.0), np.full(4, 0.5), np.array([1.0, 1.0, 1.0, 1.0 + 1e-6])):
             with pytest.raises(ValueError):
-                fdss.FdssFilter(coeffs.astype(complex), 4)
+                fdss.FdssFilter(coeffs.astype(complex))
+
+    def test_band_size_is_coefficient_count(self):
+        filt = fdss.FdssFilter(np.ones(6), truncation_loss=0.25)
+        assert (filt.m, filt.truncation_loss) == (6, 0.25)
+        with pytest.raises(ValueError, match="nonempty 1-d"):
+            fdss.FdssFilter(np.ones((2, 2)))
+        with pytest.raises(ValueError, match="nonempty 1-d"):
+            fdss.FdssFilter(np.ones(0))
+        with pytest.raises(ValueError, match="finite"):
+            fdss.FdssFilter(np.array([1.0, np.nan]))
+        # truncation_loss is keyword-only: an old positional band size fails loudly
+        with pytest.raises(TypeError):
+            fdss.FdssFilter(np.ones(4), 4)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from chirplink import analysis, channel, simulation
-from chirplink.channel import ChannelProfile, ChannelRealization
+from chirplink.channel import ChannelProfile
 from chirplink.simulation import (
     BerPoint,
     LinkConfig,
@@ -178,9 +178,8 @@ def replay_point(cfg: LinkConfig) -> BerPoint:
             rx = modulate(DataFrame.from_bits(bits[i]), filt, frame).samples
             h = np.ones(frame.subcarriers)
             if chans is not None:
-                ch = ChannelRealization(chans.taps[i], chans.delays)
-                rx = channel.apply(rx, ch)
-                h = channel.freq_response(ch, frame.idft_size)[band]
+                rx = channel.apply(rx, chans[i])
+                h = channel.freq_response(chans[i], frame.idft_size)[band]
             rx = rx + scale * (noise[0, i] + 1j * noise[1, i])
             symbols = demodulate(rx, h, filt, frame, 1.0 / rho)
             errors += int(np.sum(qpsk_demap(symbols) != bits[i]))
