@@ -24,7 +24,8 @@ from .fdss import (
 )
 from .numerics import bessel_j, convolve_full, dft, fresnel
 from .simulation import BerCurve, BerPoint, LinkConfig, ebn0_to_subcarrier_snr, run_ber_sweep
-from .transceiver import DataFrame, FrameConfig, TxSignal, demodulate, modulate, qpsk_demap, qpsk_map
+from .transceiver import (DataFrame, FrameConfig, TxSignal, demodulate, equalize, modulate,
+                          qpsk_demap, qpsk_map)
 
 __all__ = [
     "__version__",
@@ -48,6 +49,7 @@ __all__ = [
     "dft",
     "draw",
     "ebn0_to_subcarrier_snr",
+    "equalize",
     "freq_response",
     "fresnel",
     "load_filter_csv",

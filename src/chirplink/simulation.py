@@ -2,10 +2,19 @@
 
 Noise calibration: the per-subcarrier SNR is rho = (2/R) * Eb/N0 for QPSK
 (two bits per symbol, symbol energy spread over R repeated subcarriers of
-unit average power).  The unit-power transmit signal concentrates its
-energy on M of the N grid bins, so realizing per-subcarrier SNR rho
-requires time-domain noise variance (N/M)/rho per sample.  Theory curves
-use the combined-level SNR R*rho, i.e. 2 * Eb/N0 regardless of R.
+unit average power).  Theory curves use the combined-level SNR R*rho, i.e.
+2 * Eb/N0 regardless of R.
+
+The sweep runs in the band.  ``LinkConfig`` keeps the channel memory
+within the CP, so after CP removal and the N-point DFT each occupied bin
+is exactly H_k * X_k + W_k, with X_k the transmit band at the equalizer
+reference plane (``TxSignal.band``).  Time-domain noise of variance
+sigma^2 = (N/M)/rho per sample (``sample_noise_variance``: the unit-power
+signal sits on M of the N bins) has iid DFT bins of variance N * sigma^2,
+scaled by M/N^2 at the reference plane: N * sigma^2 * M/N^2 = 1/rho.  So
+each frame draws W_k ~ CN(0, 1/rho) directly on its M occupied bins, and
+no IDFT, CP, channel filtering or receiver DFT runs per frame; the BER has
+the same distribution as the time-domain chain's.
 
 Sweeps are deterministic: every grid point draws its random stream from a
 child of the configured seed, spawned up front in grid order, so results
@@ -170,7 +179,9 @@ def sample_noise_variance(subcarrier_snr: float, cfg: FrameConfig) -> float:
     """Time-domain noise variance per sample realizing the given rho.
 
     The guard band concentrates the unit transmit power on M of N bins, so
-    the per-bin SNR exceeds the sample-domain SNR by N/M.
+    the per-bin SNR exceeds the sample-domain SNR by N/M.  The sweep draws
+    its noise in the band instead; this is the time-domain equivalent, for
+    driving ``transceiver.demodulate`` at the same rho.
     """
     return (cfg.idft_size / cfg.subcarriers) / subcarrier_snr
 
@@ -178,15 +189,20 @@ def sample_noise_variance(subcarrier_snr: float, cfg: FrameConfig) -> float:
 def _draw_block(cfg: LinkConfig, rng: np.random.Generator, b: int):
     """``(bits, h, noise)``: every random number of ``b`` frames, in stream order.
 
-    The bits, ``integers(0, 2, (b, bits_per_frame))``; for multipath only,
-    the (b, max_delay + 1) impulse responses ``h = channel.draw(profile,
-    rng, b)`` (else None); then the real and the imaginary noise parts,
-    each (b, N + CP) standard normals, as ``noise[0]`` and ``noise[1]``.
-    This order and ``FRAME_BLOCK`` fix the BER CSV bytes.
+    The bits, ``integers(0, 256, (b, ceil(bits_per_frame / 8)), uint8)``
+    bytes unpacked along each row (most significant bit first) to
+    ``bits_per_frame`` uint8 bits; for multipath only, the (b, max_delay + 1)
+    impulse responses ``h = channel.draw(profile, rng, b)`` (else None);
+    then the real and the imaginary band noise, each (b, M) standard
+    normals, as ``noise[0]`` and ``noise[1]``: times sqrt(1/(2 rho)) they
+    make the CN(0, 1/rho) noise on the occupied bins.  This order and
+    ``FRAME_BLOCK`` fix the BER CSV bytes.
     """
-    bits = rng.integers(0, 2, (b, cfg.frame.bits_per_frame))
+    n_bits = cfg.frame.bits_per_frame
+    octets = rng.integers(0, 256, (b, -(-n_bits // 8)), dtype=np.uint8)
+    bits = np.unpackbits(octets, axis=-1, count=n_bits)
     h = None if cfg.channel_profile is None else channel.draw(cfg.channel_profile, rng, b)
-    noise = rng.standard_normal((2, b, cfg.frame.samples_per_frame))
+    noise = rng.standard_normal((2, b, cfg.frame.subcarriers))
     return bits, h, noise
 
 
@@ -198,9 +214,11 @@ def _simulate_point(
 ) -> BerPoint:
     frame = cfg.frame
     rho = ebn0_to_subcarrier_snr(ebn0_db, frame)
-    noise_scale = np.sqrt(sample_noise_variance(rho, frame) / 2.0)
+    noise_scale = np.sqrt(0.5 / rho)
     report = analysis.snr_post(filt, frame.repetition * rho, frame.repetition)
     theory = analysis.theoretical_ber_qpsk(report.snr_post)
+    bins = filt.subcarriers % frame.idft_size
+    h_band = np.ones(frame.subcarriers)
 
     errors = bits_sent = frames = 0
     while frames < cfg.max_frames and (
@@ -208,16 +226,13 @@ def _simulate_point(
     ):
         block = min(FRAME_BLOCK, cfg.max_frames - frames)
         bits, h, noise = _draw_block(cfg, rng, block)
-        rx = transceiver.modulate(DataFrame.from_bits(bits), filt, frame).samples
-        h_band = np.ones(frame.subcarriers)
+        rx = transceiver.modulate(DataFrame.from_bits(bits), filt, frame).band
         if h is not None:
-            rx = channel.apply(rx, h)
-            h_band = channel.freq_response(h, frame.idft_size)[
-                :, filt.subcarriers % frame.idft_size
-            ]
+            h_band = channel.freq_response(h, frame.idft_size)[:, bins]
+            rx = h_band * rx
         rx.real += noise_scale * noise[0]  # rx is a fresh array
         rx.imag += noise_scale * noise[1]
-        symbols = transceiver.demodulate(rx, h_band, filt, frame, 1.0 / rho)
+        symbols = transceiver.equalize(rx, h_band, filt, frame, 1.0 / rho)
         frame_errors = np.sum(transceiver.qpsk_demap(symbols) != bits, axis=1)
         # Count frames up to the first one that meets both targets.
         cum_errors = errors + np.cumsum(frame_errors)
@@ -243,10 +258,11 @@ def run_ber_sweep(cfg: LinkConfig) -> BerCurve:
 
     Identical configs (seed included) produce bit-identical curves.  Grid
     point i draws from child i of ``SeedSequence(seed)``, in blocks of
-    ``FRAME_BLOCK`` frames drawn by ``_draw_block``; frames drawn after a
-    point's stopping frame are not counted.  Under-converged points (fewer
-    than ``min_errors`` errors when ``max_frames`` ran out) are flagged on
-    the curve, not raised.
+    ``FRAME_BLOCK`` frames drawn by ``_draw_block`` and run in the band
+    (``modulate(...).band``, channel gain, band noise, ``equalize``);
+    frames drawn after a point's stopping frame are not counted.
+    Under-converged points (fewer than ``min_errors`` errors when
+    ``max_frames`` ran out) are flagged on the curve, not raised.
     """
     filt = cfg.filter
     streams = np.random.SeedSequence(cfg.seed).spawn(len(cfg.ebn0_grid_db))

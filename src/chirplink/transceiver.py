@@ -10,6 +10,11 @@ N-point DFT, extract the occupied band, maximal-ratio combine the R
 frequency copies, single-tap MMSE equalize, despread with an (M/R)-point
 IDFT, slice.
 
+Both chains meet at the equalizer reference plane, the occupied band
+scaled to unit average data power: ``TxSignal.band`` on the way out (the
+time samples are built only when read), ``equalize`` on the way in, after
+``demodulate``'s DFT and band extraction.
+
 Every function works along the last axis: one frame is a 1-d array, a
 block of B frames is the same call with a leading axis of length B, and
 each row of a block is bit-identical to the single-frame call on it.
@@ -29,11 +34,12 @@ Conventions fixed here because they matter for reproducibility:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import numerics
-from .fdss import FdssFilter
+from .fdss import FdssFilter, band_limits
 
 
 @dataclass(frozen=True)
@@ -87,36 +93,68 @@ class DataFrame:
 
 @dataclass(frozen=True)
 class TxSignal:
-    """Transmitted symbols: CP + body, plus the shaped spectrum.
+    """Transmitted symbols: the shaped spectrum, and CP + body built from it.
 
-    ``samples`` has shape (N + CP,) for one frame or (B, N + CP) for B.
     ``freq_symbols[..., i]`` is the post-shaping value on subcarrier
-    l_down + i, kept for diagnostics and tests.
+    l_down + i, shape (M,) for one frame or (B, M) for B.  ``band`` is the
+    same spectrum at the equalizer reference plane: what ``demodulate``'s
+    DFT and band extraction recover from ``samples`` over a noiseless flat
+    channel.  ``samples``, shape (N + CP,) or (B, N + CP), are synthesized
+    (IDFT, CP) on first access, so a caller that stays in the band never
+    pays for them.
     """
 
-    samples: np.ndarray
     freq_symbols: np.ndarray
+    cfg: FrameConfig
+
+    @property
+    def band(self) -> np.ndarray:
+        """``freq_symbols * sqrt(R/M)``: the data spectrum at unit average power."""
+        return self.freq_symbols * np.sqrt(self.cfg.repetition / self.cfg.subcarriers)
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        cfg = self.cfg
+        n = cfg.idft_size
+        low, high = band_limits(cfg.subcarriers)
+        grid = np.zeros(self.freq_symbols.shape[:-1] + (n,), dtype=complex)
+        grid[..., np.arange(low, high + 1) % n] = self.freq_symbols
+        body = numerics.dft(grid, inverse=True) * _amplitude(cfg)
+        return np.concatenate([body[..., n - cfg.cp_len :], body], axis=-1)
+
+
+#: Component level (1 - 2b)/sqrt(2) of bit b, at index b.
+_LEVEL = np.array([1.0, -1.0]) / np.sqrt(2)
 
 
 def qpsk_map(bits) -> np.ndarray:
     """Gray-mapped QPSK: bit pair (b0, b1) -> ((1-2*b0) + j(1-2*b1))/sqrt(2).
 
     Pairs are taken along the last axis, so (B, 2S) bits give (B, S) symbols.
+    Every value must be 0 or 1, in any bool, integer or float dtype;
+    unsigned input such as ``uint8`` needs only its maximum checked.
     """
-    bits = np.asarray(bits, dtype=int)
+    bits = np.asarray(bits)
     if bits.ndim == 0 or bits.shape[-1] % 2:
         raise ValueError("bit count must be even")
-    pairs = bits.reshape(bits.shape[:-1] + (-1, 2))
-    return ((1 - 2 * pairs[..., 0]) + 1j * (1 - 2 * pairs[..., 1])) / np.sqrt(2)
+    if bits.dtype.kind in "bu":
+        valid = bits.max(initial=0) <= 1
+    else:
+        valid = bits.dtype.kind in "if" and np.all((bits == 0) | (bits == 1))
+    if not valid:
+        raise ValueError("bits must be 0 or 1")
+    # Each bit becomes one component level; a pair's two levels, adjacent in
+    # memory, are the real and imaginary parts of its symbol.
+    return _LEVEL.take(bits.astype(np.uint8, copy=False)).view(complex)
 
 
 def qpsk_demap(symbols) -> np.ndarray:
-    """Hard quadrant slicing back to bits; inverse of :func:`qpsk_map`."""
-    symbols = np.asarray(symbols, dtype=complex)
-    bits = np.empty(symbols.shape[:-1] + (2 * symbols.shape[-1],), dtype=int)
-    bits[..., 0::2] = symbols.real < 0
-    bits[..., 1::2] = symbols.imag < 0
-    return bits
+    """Hard quadrant slicing back to ``uint8`` bits; inverse of :func:`qpsk_map`.
+
+    Bit 2i is ``real(s_i) < 0`` and bit 2i + 1 is ``imag(s_i) < 0``.
+    """
+    symbols = np.ascontiguousarray(symbols, dtype=complex)
+    return (symbols.view(float) < 0).view(np.uint8)
 
 
 def _amplitude(cfg: FrameConfig) -> float:
@@ -126,11 +164,12 @@ def _amplitude(cfg: FrameConfig) -> float:
 
 
 def modulate(data: DataFrame, filt: FdssFilter, cfg: FrameConfig) -> TxSignal:
-    """Synthesize CP-prefixed symbols from a data frame.
+    """Shape the spectrum of a data frame; the CP-prefixed symbols follow on demand.
 
     The M-point DFT of the sparse input (data on every R-th bin) is R tiled
     copies of the (M/R)-point DFT of the data, computed directly in that
-    form so the repetition structure is exact.
+    form so the repetition structure is exact.  The returned ``TxSignal``
+    holds the shaped spectrum; its ``samples`` are synthesized when read.
     """
     if filt.m != cfg.subcarriers:
         raise ValueError("filter band does not match the frame configuration")
@@ -141,15 +180,8 @@ def modulate(data: DataFrame, filt: FdssFilter, cfg: FrameConfig) -> TxSignal:
         )
     if not np.all(np.isfinite(d)):
         raise ValueError("data symbols must be finite")
-    n, m = cfg.idft_size, cfg.subcarriers
     spread = np.tile(numerics.dft(d), cfg.repetition)  # M-point DFT of the sparse input
-    ks = filt.subcarriers
-    shaped = filt.coeffs * spread[..., ks % m]
-    grid = np.zeros(d.shape[:-1] + (n,), dtype=complex)
-    grid[..., ks % n] = shaped
-    body = numerics.dft(grid, inverse=True) * _amplitude(cfg)
-    samples = np.concatenate([body[..., n - cfg.cp_len :], body], axis=-1)
-    return TxSignal(samples, shaped)
+    return TxSignal(filt.coeffs * spread[..., filt.subcarriers % cfg.subcarriers], cfg)
 
 
 def demodulate(
@@ -161,19 +193,16 @@ def demodulate(
 ) -> np.ndarray:
     """Recover the data symbols of received symbols.
 
+    Drops the CP, takes the N-point DFT, extracts the occupied band at the
+    equalizer reference plane and hands it to :func:`equalize`.
+
     Parameters
     ----------
     rx : array
         ``idft_size + cp_len`` received samples, shape (N + CP,) for one
         frame or (B, N + CP) for B frames.
-    channel_freq : array
-        Channel frequency response on the occupied band, aligned with
-        ``filt.subcarriers`` (genie knowledge; all-ones for AWGN): shape
-        (M,) for every frame alike, or (B, M), one row per frame of ``rx``.
-    noise_var : float
-        Per-subcarrier noise variance at the equalizer plane; ``1/noise_var``
-        is the per-subcarrier SNR.  Zero selects the zero-forcing limit,
-        which needs a nonzero combined gain on every bin.
+    channel_freq, noise_var
+        As for :func:`equalize`.
 
     Returns
     -------
@@ -188,32 +217,76 @@ def demodulate(
         raise ValueError(f"expected {cfg.samples_per_frame} samples, got {rx.shape[-1]}")
     if not np.all(np.isfinite(rx)):
         raise ValueError("rx must be finite")
+    n = cfg.idft_size
+    spectrum = numerics.dft(rx[..., cfg.cp_len :])
+    # Undo the transmit scaling so the data spectrum has unit average power.
+    band = spectrum[..., filt.subcarriers % n] * (np.sqrt(cfg.subcarriers) / n)
+    return equalize(band, channel_freq, filt, cfg, noise_var)
+
+
+def equalize(
+    band,
+    channel_freq,
+    filt: FdssFilter,
+    cfg: FrameConfig,
+    noise_var: float,
+) -> np.ndarray:
+    """MRC, single-tap MMSE and despreading of occupied-band values.
+
+    Parameters
+    ----------
+    band : array
+        Received values on the occupied band at the equalizer reference
+        plane, aligned with ``filt.subcarriers``: shape (M,) for one frame
+        or (B, M) for B.  A noiseless flat channel gives ``TxSignal.band``.
+    channel_freq : array
+        Channel frequency response on the occupied band, aligned with
+        ``filt.subcarriers`` (genie knowledge; all-ones for AWGN): shape
+        (M,) for every frame alike, or (B, M), one row per frame of ``band``.
+    noise_var : float
+        Per-subcarrier noise variance at the equalizer plane; ``1/noise_var``
+        is the per-subcarrier SNR.  Zero selects the zero-forcing limit,
+        which needs a nonzero combined gain on every bin.
+
+    Returns
+    -------
+    symbols
+        MMSE symbol estimates (biased, as usual for MMSE), with the leading
+        shape of ``band``.
+    """
     if filt.m != cfg.subcarriers:
         raise ValueError("filter band does not match the frame configuration")
+    m, r = cfg.subcarriers, cfg.repetition
+    band = np.asarray(band, dtype=complex)
+    if band.ndim == 0 or band.shape[-1] != m:
+        raise ValueError(f"band must hold {m} values per frame, got shape {band.shape}")
+    if not np.all(np.isfinite(band)):
+        raise ValueError("band must be finite")
     if not (np.isfinite(noise_var) and noise_var >= 0):
         raise ValueError(f"noise_var must be finite and >= 0, got {noise_var}")
     h = np.asarray(channel_freq, dtype=complex)
-    if h.shape not in ((cfg.subcarriers,), rx.shape[:-1] + (cfg.subcarriers,)):
+    if h.shape not in ((m,), band.shape[:-1] + (m,)):
         raise ValueError("channel_freq must cover the occupied band, once or per frame")
     if not np.all(np.isfinite(h)):
         raise ValueError("channel_freq must be finite")
-    n, m, r = cfg.idft_size, cfg.subcarriers, cfg.repetition
-    ks = filt.subcarriers
-    spectrum = numerics.dft(rx[..., cfg.cp_len :])
-    # Undo the transmit scaling so the data spectrum has unit average power.
-    band = spectrum[..., ks % n] * (np.sqrt(m) / n)
     gain = h * filt.coeffs
-    per_group = m // r
-    combined = (np.conj(gain) * band).reshape(band.shape[:-1] + (r, per_group)).sum(axis=-2)
-    combined_gain = (np.abs(gain) ** 2).reshape(gain.shape[:-1] + (r, per_group)).sum(axis=-2)
+    combined = _fold(np.conj(gain) * band, r)
+    combined_gain = _fold(np.abs(gain) ** 2, r)
     if noise_var == 0 and not np.all(combined_gain > 0):
         raise ValueError(
             "noise_var = 0 (zero-forcing) needs nonzero combined gain on every bin;"
             f" {int(np.sum(combined_gain == 0))} of {combined_gain.size} bins have none"
         )
-    equalized = combined / (combined_gain + noise_var)
-    # Despread: subcarrier kappa carries bin kappa mod (M/R) of the data DFT.
-    kappa = ks[:per_group]
-    despread_in = np.zeros(equalized.shape, dtype=complex)
-    despread_in[..., kappa % per_group] = equalized
+    equalized = combined * (1.0 / (combined_gain + noise_var))
+    # Despread: subcarrier kappa = l_down + i carries bin kappa mod (M/R) of
+    # the data DFT, so the combined bins are that DFT rotated by l_down.
+    per_group = m // r
+    despread_in = np.roll(equalized, filt.l_down % per_group, axis=-1)
     return numerics.dft(despread_in, inverse=True) * np.sqrt(per_group)
+
+
+def _fold(values: np.ndarray, r: int) -> np.ndarray:
+    """Sum the R spectral copies: (..., M) -> (..., M/R)."""
+    if r == 1:
+        return values
+    return values.reshape(values.shape[:-1] + (r, -1)).sum(axis=-2)

@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chirplink import analysis
-from chirplink.fdss import design_linear, design_plain, design_sinusoidal
-from chirplink.simulation import design_filter
+from chirplink import analysis, channel, numerics
+from chirplink.channel import ChannelProfile
+from chirplink.fdss import FdssFilter, design_linear, design_plain, design_sinusoidal
+from chirplink.simulation import design_filter, sample_noise_variance
 from chirplink.transceiver import (
     DataFrame,
     FrameConfig,
     demodulate,
+    equalize,
     modulate,
     qpsk_demap,
     qpsk_map,
@@ -47,6 +51,21 @@ class TestQpsk:
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError):
             qpsk_map([0, 1, 0])
+
+    @pytest.mark.parametrize("bits, valid", [
+        pytest.param([2, 0, 0, 1], False, id="int-2"),
+        pytest.param([0, -1, 1, 0], False, id="int-minus-1"),
+        pytest.param([0.7, 0.2], False, id="fraction"),
+        pytest.param(np.array([0, 2], dtype=np.uint8), False, id="uint8-2"),
+        pytest.param(np.array([[0, 1, 1, 0], [1, 1, 0, 0]], dtype=np.uint8), True,
+                     id="uint8-valid"),
+    ])
+    def test_values_must_be_bits(self, bits, valid):
+        if valid:
+            np.testing.assert_array_equal(qpsk_map(bits), qpsk_map(np.asarray(bits).astype(int)))
+        else:
+            with pytest.raises(ValueError, match="^bits "):
+                qpsk_map(bits)
 
 
 class TestModulate:
@@ -241,6 +260,16 @@ class TestBoundaryValidation:
         with pytest.raises(ValueError, match="^noise_var = 0"):
             demodulate(tx.samples, np.ones(M, complex), filt, CFG, 0.0)
 
+    def test_equalize_band_named(self):
+        filt = ALL_FILTERS["plain"]
+        h = np.ones(M, complex)
+        with pytest.raises(ValueError, match="^band "):
+            equalize(np.ones(M - 1, complex), h, filt, CFG, 0.1)
+        with pytest.raises(ValueError, match="^band "):
+            equalize(np.full(M, np.nan, complex), h, filt, CFG, 0.1)
+        with pytest.raises(ValueError, match="^channel_freq "):
+            equalize(np.ones((3, M), complex), np.ones((2, M), complex), filt, CFG, 0.1)
+
     def test_zero_forcing_round_trip_flat_filter(self):
         bits = np.random.default_rng(5).integers(0, 2, CFG.bits_per_frame)
         frame = DataFrame.from_bits(bits)
@@ -291,6 +320,88 @@ class TestBatch:
             demodulate(rx, np.ones((2, M), complex), filt, CFG, 0.1)
         with pytest.raises(ValueError, match="^channel_freq "):
             demodulate(rx[0], np.ones((3, M), complex), filt, CFG, 0.1)
+
+
+def both_paths(symbols, filt, cfg, h, noise, noise_var):
+    """Symbols through the time-domain chain and through the band, same noise.
+
+    ``h`` is an impulse response (or None for AWGN) and ``noise`` the
+    time-domain noise of every sample, CP included.  The band path adds the
+    noise's share of the occupied bins at the equalizer plane,
+    (sqrt(M)/N) * DFT(noise body) on those bins.
+    """
+    n, m = cfg.idft_size, cfg.subcarriers
+    bins = filt.subcarriers % n
+    tx = modulate(DataFrame(symbols), filt, cfg)
+    rx = tx.samples
+    h_band = np.ones(m, complex)
+    if h is not None:
+        rx = channel.apply(rx, h)
+        h_band = channel.freq_response(h, n)[..., bins]
+    time = demodulate(rx + noise, h_band, filt, cfg, noise_var)
+    w = numerics.dft(noise[..., cfg.cp_len :])[..., bins] * (np.sqrt(m) / n)
+    band = equalize(h_band * tx.band + w, h_band, filt, cfg, noise_var)
+    return time, band
+
+
+def time_noise(rng, shape, rho, cfg):
+    """Complex time-domain noise realizing per-subcarrier SNR ``rho``."""
+    parts = rng.standard_normal((2,) + shape)
+    return np.sqrt(sample_noise_variance(rho, cfg) / 2.0) * (parts[0] + 1j * parts[1])
+
+
+@st.composite
+def numerologies(draw):
+    """(FrameConfig, ChannelProfile or None): M <= N, R | M, CP >= channel memory."""
+    n = draw(st.integers(2, 256))
+    m = draw(st.integers(1, n))
+    r = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+    cp = draw(st.integers(0, n - 1))
+    cfg = FrameConfig(subcarriers=m, idft_size=n, cp_len=cp, repetition=r)
+    if draw(st.booleans()):
+        return cfg, None
+    taps = draw(st.integers(1, min(4, cp + 1)))
+    delays = sorted(draw(st.sets(st.integers(0, cp), min_size=taps, max_size=taps)))
+    powers = draw(st.lists(st.floats(-30.0, 0.0), min_size=taps, max_size=taps))
+    return cfg, ChannelProfile(tuple(powers), draw(st.floats(0.0, 100.0)), tuple(delays))
+
+
+class TestBandTimeIdentity:
+    """With CP >= channel memory, equalizing the band equals the time-domain chain.
+
+    demodulate(apply(modulate(x).samples, h) + n) equals
+    equalize(H * band + (sqrt(M)/N) * DFT(n_body)[band], ...), which is what
+    lets the BER sweep draw its noise on the occupied bins only.
+    """
+
+    @pytest.mark.parametrize("multipath", [False, True], ids=["awgn", "multipath"])
+    @pytest.mark.parametrize("repetition", [1, 4])
+    @pytest.mark.parametrize("name", ["sinusoidal", "triangular"])
+    def test_default_numerology(self, name, repetition, multipath):
+        cfg = FrameConfig(repetition=repetition)
+        rng = np.random.default_rng(77)
+        bits = rng.integers(0, 2, (16, cfg.bits_per_frame), dtype=np.uint8)
+        h = channel.draw(ChannelProfile(), rng, 16) if multipath else None
+        rho = 10.0
+        noise = time_noise(rng, (16, cfg.samples_per_frame), rho, cfg)
+        time, band = both_paths(qpsk_map(bits), ALL_FILTERS[name], cfg, h, noise, 1.0 / rho)
+        assert np.max(np.abs(time - band)) < 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(numerology=numerologies(), count=st.integers(1, 3),
+           snr_db=st.floats(-5.0, 30.0), seed=st.integers(0, 2**32 - 1))
+    def test_random_numerologies(self, numerology, count, snr_db, seed):
+        cfg, profile = numerology
+        rng = np.random.default_rng(seed)
+        parts = rng.standard_normal((2, cfg.subcarriers))
+        coeffs = parts[0] + 1j * parts[1]
+        filt = FdssFilter(coeffs * np.sqrt(cfg.subcarriers / np.sum(np.abs(coeffs) ** 2)))
+        symbols = qpsk_map(rng.integers(0, 2, (count, cfg.bits_per_frame)))
+        h = None if profile is None else channel.draw(profile, rng, count)
+        rho = 10.0 ** (snr_db / 10.0)
+        noise = time_noise(rng, (count, cfg.samples_per_frame), rho, cfg)
+        time, band = both_paths(symbols, filt, cfg, h, noise, 1.0 / rho)
+        assert np.max(np.abs(time - band)) < 1e-12
 
 
 class TestFrameConfig:
