@@ -35,8 +35,7 @@ class SnrPostReport:
     """
 
     alpha_mmse: float
-    snr_post: float
-    saturated: bool = False  # true when alpha hit 1 and snr_post is infinite
+    snr_post: float  # inf where alpha saturates at 1
 
 
 def snr_post(filt: FdssFilter, snr, repetition: int = 1) -> SnrPostReport:
@@ -64,13 +63,12 @@ def snr_post(filt: FdssFilter, snr, repetition: int = 1) -> SnrPostReport:
     if scalar:
         alpha = float(alpha)
         if alpha >= 1.0:
-            return SnrPostReport(1.0, math.inf, saturated=True)
+            return SnrPostReport(1.0, math.inf)
         return SnrPostReport(alpha, 1.0 / (math.sqrt(1.0 / alpha) - 1.0))
-    saturated = alpha >= 1.0
     alpha = np.minimum(alpha, 1.0)
     with np.errstate(divide="ignore"):
         post = 1.0 / (np.sqrt(1.0 / alpha) - 1.0)  # inf where saturated
-    return SnrPostReport(alpha, post, saturated)
+    return SnrPostReport(alpha, post)
 
 
 def _ber_qpsk(snr_post_value: float) -> float:

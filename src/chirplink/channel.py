@@ -26,18 +26,20 @@ class ChannelProfile:
     tap_delays: tuple = (0, 1, 2)
 
     def __post_init__(self):
+        if not all(float(d).is_integer() for d in self.tap_delays):
+            raise ValueError(f"tap_delays must be whole samples, got {list(self.tap_delays)}")
         powers = tuple(float(p) for p in self.tap_powers_db)
         delays = tuple(int(d) for d in self.tap_delays)
         object.__setattr__(self, "tap_powers_db", powers)
         object.__setattr__(self, "tap_delays", delays)
         if len(powers) != len(delays) or not powers:
-            raise ValueError("need matching, nonempty tap powers and delays")
+            raise ValueError("tap_powers_db and tap_delays must be nonempty and of equal length")
         if not all(np.isfinite(powers)):
-            raise ValueError("tap powers must be finite")
+            raise ValueError("tap_powers_db must be finite")
         if any(d < 0 for d in delays) or any(
             b <= a for a, b in zip(delays, delays[1:])
         ):
-            raise ValueError("tap delays must be non-negative and strictly increasing")
+            raise ValueError("tap_delays must be non-negative and strictly increasing")
         if not (np.isfinite(self.rician_k) and self.rician_k >= 0):
             raise ValueError(f"rician_k must be finite and >= 0, got {self.rician_k}")
 

@@ -3,6 +3,13 @@
 Everything is emitted as CSV with a config-echo comment header so runs are
 reproducible byte for byte from (config file, seed).  Exit codes: 0 on
 success, 1 on usage/config errors, 2 when any BER point under-converged.
+
+The config schema checks only the file's shape: its keys, nesting and YAML
+types.  Every range and cross-field rule belongs to the dataclass that
+holds the field, which raises ``ValueError`` naming it.  ``main`` is the one
+place that turns a ``ValueError`` (``UsageError`` is one) into an
+``error: ...`` message on stderr and exit code 1, so no command writes a
+file or a traceback for invalid input.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import yaml
 from . import __version__
 from . import analysis, simulation, transceiver
 from .channel import ChannelProfile
-from .fdss import DEFAULT_DEVIATION, FdssFilter
+from .fdss import DEFAULT_DEVIATION
 from .simulation import LinkConfig, WAVEFORMS, design_filter
 from .transceiver import DataFrame, FrameConfig
 
@@ -31,8 +38,8 @@ EXIT_UNDERCONVERGED = 2
 PSD_BLOCK = 64
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """Invalid flags or an unreadable, malformed or schema-invalid config file."""
 
 
 CONFIG_SCHEMA = {
@@ -40,17 +47,17 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
     "required": ["waveform"],
     "properties": {
-        "waveform": {"enum": list(WAVEFORMS)},
-        "deviation": {"type": "number", "exclusiveMinimum": 0},
-        "n_harmonics": {"type": "integer", "minimum": 1},
+        "waveform": {"type": "string"},
+        "deviation": {"type": "number"},
+        "n_harmonics": {"type": "integer"},
         "frame": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "subcarriers": {"type": "integer", "minimum": 1},
-                "idft_size": {"type": "integer", "minimum": 1},
-                "cp_len": {"type": "integer", "minimum": 0},
-                "repetition": {"type": "integer", "minimum": 1},
+                "subcarriers": {"type": "integer"},
+                "idft_size": {"type": "integer"},
+                "cp_len": {"type": "integer"},
+                "repetition": {"type": "integer"},
             },
         },
         "channel": {
@@ -59,22 +66,23 @@ CONFIG_SCHEMA = {
             "required": ["type"],
             "properties": {
                 "type": {"enum": ["awgn", "multipath"]},
-                "tap_powers_db": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-                "rician_k": {"type": "number", "minimum": 0},
-                "tap_delays": {"type": "array", "items": {"type": "integer", "minimum": 0}, "minItems": 1},
+                "tap_powers_db": {"type": "array", "items": {"type": "number"}},
+                "rician_k": {"type": "number"},
+                "tap_delays": {"type": "array", "items": {"type": "integer"}},
             },
         },
         "sweep": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "ebn0_db": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-                "min_bits": {"type": "integer", "minimum": 10000},
-                "min_errors": {"type": "integer", "minimum": 1},
-                "max_frames": {"type": "integer", "minimum": 1},
+                "ebn0_db": {"type": "array", "items": {"type": "number"}},
+                "min_bits": {"type": "integer"},
+                "min_errors": {"type": "integer"},
+                "max_frames": {"type": "integer"},
                 "seed": {"type": "integer"},
             },
         },
+        # no dataclass holds these two, so their bounds stay here
         "analysis": {
             "type": "object",
             "additionalProperties": False,
@@ -122,9 +130,11 @@ def load_config(path) -> dict:
 def link_config_from(raw: dict) -> LinkConfig:
     """Sweep configuration from a schema-valid config mapping.
 
-    Only the keys the config sets are passed on, so every default lives in
-    the dataclasses.  Invalid values raise ``ValueError``.
+    Only the keys the config sets are passed on, so every default and rule
+    lives in the dataclasses.  Invalid values, the ``snrpost`` grid's
+    included, raise ``ValueError``, so no command starts on a bad config.
     """
+    snr_grid(raw)
     channel = dict(raw.get("channel", {"type": "awgn"}))
     profile = None if channel.pop("type") == "awgn" else ChannelProfile(**channel)
     sweep = {("ebn0_grid_db" if k == "ebn0_db" else k): v for k, v in raw.get("sweep", {}).items()}
@@ -156,30 +166,13 @@ def snr_grid(raw: dict) -> tuple[list, np.ndarray]:
     return grid_db, snr
 
 
-def build_run(raw: dict) -> tuple[LinkConfig, FdssFilter]:
-    """Sweep configuration and shaping filter for a schema-valid config.
-
-    This is the one boundary where an invalid value becomes a ``UsageError``;
-    it also checks the ``snrpost`` grid, so no command starts on a bad one.
-    """
-    try:
-        snr_grid(raw)
-        cfg = link_config_from(raw)
-        return cfg, cfg.filter
-    except ValueError as exc:
-        raise UsageError(f"invalid config: {exc}") from exc
-
-
 def _echo_header(raw: dict) -> str:
     echo = yaml.safe_dump(raw, sort_keys=True, default_flow_style=True, width=10_000).strip()
     return f"# chirplink {__version__}\n# config: {echo}\n"
 
 
 def cmd_design(args) -> int:
-    try:
-        filt = design_filter(args.waveform, args.deviation, args.subcarriers, args.harmonics)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    filt = design_filter(args.waveform, args.deviation, args.subcarriers, args.harmonics)
     filt.export_csv(args.out)
     ratio = filt.magnitude_ratio()
     print(f"wrote {args.out}: {filt.m} coefficients, k = {filt.l_down}..{filt.l_up}")
@@ -188,37 +181,30 @@ def cmd_design(args) -> int:
     return EXIT_OK
 
 
-def parse_data_spec(spec: str, n_symbols: int) -> np.ndarray:
-    """Parse ``idx=value,idx=value`` into a sparse symbol vector."""
-    if not spec or not spec.strip():
-        raise UsageError("empty data spec; expected e.g. 0=1,75=1")
-    d = np.zeros(n_symbols, dtype=complex)
-    for item in spec.split(","):
-        if "=" in item:
-            idx_s, val_s = item.split("=", 1)
-        else:
-            idx_s, val_s = item, "1"
-        try:
-            idx = int(idx_s)
-            val = complex(val_s)
-        except ValueError as exc:
-            raise UsageError(f"bad data spec entry {item!r}") from exc
-        if not 0 <= idx < n_symbols:
-            raise UsageError(f"symbol index {idx} out of range 0..{n_symbols - 1}")
-        d[idx] = val
-    return d
+def data_spec(spec: str) -> dict:
+    """``--data`` as ``{index: symbol}`` from ``idx=value,idx=value``; a bare ``idx`` means 1.
+
+    It is the flag's argparse ``type``, so argparse reports an entry that
+    does not parse as a usage error.
+    """
+    if not spec.strip():
+        raise argparse.ArgumentTypeError("empty data spec; expected e.g. 0=1,75=1")
+    items = (item.partition("=") for item in spec.split(","))
+    return {int(idx): complex(val if eq else "1") for idx, eq, val in items}
 
 
 def cmd_synthesize(args) -> int:
     raw = load_config(args.config)
-    cfg, filt = build_run(raw)
+    cfg = link_config_from(raw)
     frame = cfg.frame
-    data = parse_data_spec(args.data, frame.symbols_per_frame)
-    try:  # both outputs are computed before either file is opened
-        tx = transceiver.modulate(DataFrame(data), filt, frame)
-        spec = analysis.spectrogram(tx.samples[frame.cp_len :], win_len=args.win_len, hop=args.hop)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    data = np.zeros(frame.symbols_per_frame, dtype=complex)
+    for idx, val in args.data.items():
+        if not 0 <= idx < len(data):
+            raise UsageError(f"symbol index {idx} out of range 0..{len(data) - 1}")
+        data[idx] = val
+    # both outputs are computed before either file is opened
+    tx = transceiver.modulate(DataFrame(data), cfg.filter, frame)
+    spec = analysis.spectrogram(tx.samples[frame.cp_len :], win_len=args.win_len, hop=args.hop)
     header = _echo_header(raw)
 
     time_path = f"{args.out_prefix}time.csv"
@@ -241,7 +227,7 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_ber(args) -> int:
-    cfg, _ = build_run(load_config(args.config))
+    cfg = link_config_from(load_config(args.config))
     curve = simulation.run_ber_sweep(cfg)
     curve.to_csv(args.out)
     for p in curve.points:
@@ -256,8 +242,8 @@ def cmd_ber(args) -> int:
 
 def cmd_analyze(args) -> int:
     raw = load_config(args.config)
-    cfg, filt = build_run(raw)
-    frame = cfg.frame
+    cfg = link_config_from(raw)
+    filt, frame = cfg.filter, cfg.frame
     ana = raw.get("analysis", {})
     header = _echo_header(raw)
     if args.mode == "snrpost":
@@ -288,13 +274,10 @@ def cmd_analyze(args) -> int:
             for k, v in zip(freqs, shift):
                 fh.write(f"{k},{v:.6f}\n")
     elif args.mode == "papr":
-        try:
-            filters = {
-                wf: design_filter(wf, cfg.deviation, frame.subcarriers, cfg.n_harmonics)
-                for wf in WAVEFORMS
-            }
-        except ValueError as exc:
-            raise UsageError(f"invalid config: {exc}") from exc
+        filters = {  # all four designed before the file is opened
+            wf: design_filter(wf, cfg.deviation, frame.subcarriers, cfg.n_harmonics)
+            for wf in WAVEFORMS
+        }
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(header)
             fh.write("waveform,single_chirp_papr_db,random_frame_papr_db\n")
@@ -331,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synthesize", help="synthesize a frame and its spectrogram")
     p.add_argument("--config", required=True)
-    p.add_argument("--data", required=True, help="active symbols, e.g. 0=1,75=1")
+    p.add_argument("--data", type=data_spec, required=True, help="active symbols, e.g. 0=1,75=1")
     p.add_argument("--out-prefix", default="synth_")
     p.add_argument("--win-len", type=int, default=64)
     p.add_argument("--hop", type=int, default=8)
@@ -355,7 +338,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -232,7 +232,8 @@ class ChirpTrajectory:
         hi, lo = sl.max(), sl.min()
         if abs(hi - 1.0) > 0.01 or abs(lo + 1.0) > 0.01:
             raise ValueError(
-                f"trajectory slope spans [{lo:.4f}, {hi:.4f}]; must reach -1 and +1 within 1%"
+                f"trajectory slope with n_harmonics = {self.n_harmonics} spans"
+                f" [{lo:.4f}, {hi:.4f}]; must reach -1 and +1 within 1%"
             )
 
     @property

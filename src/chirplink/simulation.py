@@ -70,7 +70,11 @@ def design_filter(
 
 @dataclass(frozen=True)
 class LinkConfig:
-    """Everything one BER sweep needs, including its random seed."""
+    """Everything one BER sweep needs, including its random seed.
+
+    Construction checks every rule of a run, the filter design included, and
+    raises ``ValueError`` naming the field; a config that constructs can run.
+    """
 
     frame: FrameConfig = field(default_factory=FrameConfig)
     waveform: str = "plain"
@@ -85,25 +89,32 @@ class LinkConfig:
 
     def __post_init__(self):
         if self.waveform not in WAVEFORMS:
-            raise ValueError(f"unknown waveform {self.waveform!r}")
+            raise ValueError(f"unknown waveform {self.waveform!r}; expected one of {WAVEFORMS}")
+        if not (np.isfinite(self.deviation) and self.deviation > 0):
+            raise ValueError(f"deviation must be finite and > 0, got {self.deviation}")
+        if self.n_harmonics < 1:
+            raise ValueError(f"n_harmonics must be >= 1, got {self.n_harmonics}")
         if not self.ebn0_grid_db:
             raise ValueError("ebn0_grid_db must be nonempty")
         if not np.all(np.isfinite(self.ebn0_grid_db)):
             raise ValueError("ebn0_grid_db must be finite")
         if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.min_bits < 10_000:
-            raise ValueError("min_bits must be >= 10000")
-        if self.min_errors < 1 or self.max_frames < 1:
-            raise ValueError("min_errors and max_frames must be positive")
-        if self.channel_profile is not None:
-            if self.channel_profile.max_delay > self.frame.cp_len:
-                raise ValueError("channel memory exceeds the cyclic prefix")
+            raise ValueError(f"min_bits must be >= 10000, got {self.min_bits}")
+        if self.min_errors < 1:
+            raise ValueError(f"min_errors must be >= 1, got {self.min_errors}")
+        if self.max_frames < 1:
+            raise ValueError(f"max_frames must be >= 1, got {self.max_frames}")
+        memory = 0 if self.channel_profile is None else self.channel_profile.max_delay
+        if memory > self.frame.cp_len:
+            raise ValueError(f"channel memory {memory} exceeds the cyclic prefix cp_len")
         object.__setattr__(self, "ebn0_grid_db", tuple(float(e) for e in self.ebn0_grid_db))
+        self.filter  # the waveform's design rules (D <= M, slope span) fail here too
 
     @cached_property
     def filter(self) -> fdss.FdssFilter:
-        """The shaping filter this configuration names, designed on first use."""
+        """The shaping filter this configuration names, designed at construction."""
         return design_filter(self.waveform, self.deviation, self.frame.subcarriers, self.n_harmonics)
 
 

@@ -57,12 +57,13 @@ class FrameConfig:
     repetition: int = 1
 
     def __post_init__(self):
-        if self.subcarriers < 1 or self.subcarriers > self.idft_size:
-            raise ValueError("need 1 <= subcarriers <= idft_size")
-        if not 0 <= self.cp_len < self.idft_size:
-            raise ValueError("need 0 <= cp_len < idft_size")
-        if self.repetition < 1 or self.subcarriers % self.repetition:
-            raise ValueError("repetition must divide the subcarrier count")
+        m, n = self.subcarriers, self.idft_size
+        if not 1 <= m <= n:
+            raise ValueError(f"need 1 <= subcarriers <= idft_size, got {m} and {n}")
+        if not 0 <= self.cp_len < n:
+            raise ValueError(f"need 0 <= cp_len < idft_size, got {self.cp_len} and {n}")
+        if self.repetition < 1 or m % self.repetition:
+            raise ValueError(f"repetition must divide the {m} subcarriers, got {self.repetition}")
 
     @property
     def symbols_per_frame(self) -> int:

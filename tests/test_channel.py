@@ -22,6 +22,8 @@ class TestProfile:
             ChannelProfile((0.0,), 10.0, (-1,))
         with pytest.raises(ValueError):
             ChannelProfile((0.0, np.inf), 10.0, (0, 1))
+        with pytest.raises(ValueError, match="tap_delays"):
+            ChannelProfile((0.0, -3.0), 10.0, (0, 1.5))  # int() would truncate it to 1
         for k in (-1.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="rician_k"):
                 ChannelProfile(rician_k=k)

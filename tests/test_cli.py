@@ -30,28 +30,52 @@ sweep:
 """
 
 
-# One invalid value each; all must fail at the config boundary.
+def _multipath(taps: str) -> str:
+    return BASE_CONFIG.replace("type: awgn", "type: multipath\n  " + taps.replace("; ", "\n  "))
+
+
+# One invalid value each, with the field its error must name; every one is
+# valid YAML of the schema's shape, and must fail at the config boundary.
 INVALID_CONFIGS = {
-    "repetition_not_dividing_m": BASE_CONFIG.replace("repetition: 1", "repetition: 5"),
-    "negative_seed": BASE_CONFIG.replace("seed: 11", "seed: -1"),
-    "deviation_above_m": BASE_CONFIG.replace("{waveform}", "sinusoidal").replace(
-        "deviation: 318.0", "deviation: 400"
-    ),
-    "too_few_harmonics": BASE_CONFIG.replace("{waveform}", "triangular") + "n_harmonics: 5\n",
-    "subcarriers_above_idft": BASE_CONFIG.replace("subcarriers: 336", "subcarriers: 600"),
-    "mismatched_taps": BASE_CONFIG.replace(
-        "type: awgn", "type: multipath\n  tap_powers_db: [0.0, -10.0]\n  tap_delays: [0, 1, 2]"
-    ),
-    "nan_ebn0": BASE_CONFIG.replace("ebn0_db: [5.0, 6.0]", "ebn0_db: [5.0, .nan]"),
-    "inf_ebn0": BASE_CONFIG.replace("ebn0_db: [5.0, 6.0]", "ebn0_db: [.inf]"),
-    "inf_rician_k": BASE_CONFIG.replace("type: awgn", "type: multipath\n  rician_k: .inf"),
-    "nan_rician_k": BASE_CONFIG.replace("type: awgn", "type: multipath\n  rician_k: .nan"),
+    "repetition_not_dividing_m": ("repetition",
+                                  BASE_CONFIG.replace("repetition: 1", "repetition: 5")),
+    "negative_seed": ("seed", BASE_CONFIG.replace("seed: 11", "seed: -1")),
+    "deviation_above_m": ("deviation", BASE_CONFIG.replace("{waveform}", "sinusoidal").replace(
+        "deviation: 318.0", "deviation: 400")),
+    "too_few_harmonics": ("n_harmonics",
+                          BASE_CONFIG.replace("{waveform}", "triangular") + "n_harmonics: 5\n"),
+    "subcarriers_above_idft": ("subcarriers",
+                               BASE_CONFIG.replace("subcarriers: 336", "subcarriers: 600")),
+    "mismatched_taps": ("tap_delays",
+                        _multipath("tap_powers_db: [0.0, -10.0]; tap_delays: [0, 1, 2]")),
+    "nan_ebn0": ("ebn0", BASE_CONFIG.replace("ebn0_db: [5.0, 6.0]", "ebn0_db: [5.0, .nan]")),
+    "inf_ebn0": ("ebn0", BASE_CONFIG.replace("ebn0_db: [5.0, 6.0]", "ebn0_db: [.inf]")),
+    "inf_rician_k": ("rician_k", _multipath("rician_k: .inf")),
+    "nan_rician_k": ("rician_k", _multipath("rician_k: .nan")),
+    # ranges the dataclasses own and the schema does not restate
+    "unknown_waveform": ("waveform", BASE_CONFIG.replace("{waveform}", "zigzag")),
+    "zero_deviation": ("deviation", BASE_CONFIG.replace("deviation: 318.0", "deviation: 0")),
+    "negative_deviation": ("deviation", BASE_CONFIG.replace("deviation: 318.0", "deviation: -1")),
+    "zero_harmonics": ("n_harmonics", BASE_CONFIG + "n_harmonics: 0\n"),
+    "zero_subcarriers": ("subcarriers", BASE_CONFIG.replace("subcarriers: 336", "subcarriers: 0")),
+    "zero_idft_size": ("idft_size", BASE_CONFIG.replace("idft_size: 512", "idft_size: 0")),
+    "negative_cp_len": ("cp_len", BASE_CONFIG.replace("cp_len: 96", "cp_len: -1")),
+    "zero_repetition": ("repetition", BASE_CONFIG.replace("repetition: 1", "repetition: 0")),
+    "empty_taps": ("tap_powers_db", _multipath("tap_powers_db: []; tap_delays: []")),
+    "negative_rician_k": ("rician_k", _multipath("rician_k: -1")),
+    "negative_tap_delay": ("tap_delays", _multipath("tap_powers_db: [0.0]; tap_delays: [-1]")),
+    "empty_ebn0": ("ebn0", BASE_CONFIG.replace("ebn0_db: [5.0, 6.0]", "ebn0_db: []")),
+    "min_bits_below_floor": ("min_bits", BASE_CONFIG.replace("min_bits: 15000", "min_bits: 5000")),
+    "zero_min_errors": ("min_errors", BASE_CONFIG.replace("min_errors: 30", "min_errors: 0")),
+    "zero_max_frames": ("max_frames", BASE_CONFIG.replace("max_frames: 4000", "max_frames: 0")),
+    "memory_beyond_cp": ("cp_len", _multipath("tap_delays: [0, 1, 2]").replace(
+        "cp_len: 96", "cp_len: 1")),
 }
 # snrpost grid values whose linear SNR 10^(s/10) overflows, is not finite or underflows to 0
 BAD_SNR_DB = {"huge_snr_db": "4000.0", "inf_snr_db": ".inf", "nan_snr_db": ".nan",
               "tiny_snr_db": "-4000.0"}
 INVALID_CONFIGS.update(
-    (case, BASE_CONFIG + f"analysis:\n  snr_db: [0.0, {value}]\n")
+    (case, ("snr_db", BASE_CONFIG + f"analysis:\n  snr_db: [0.0, {value}]\n"))
     for case, value in BAD_SNR_DB.items()
 )
 
@@ -132,6 +156,7 @@ class TestSynthesize:
     @pytest.mark.parametrize("flags", [
         pytest.param(["--data", "0=nan"], id="nan_data"),
         pytest.param(["--data", "0=1,3=inf"], id="inf_data"),
+        pytest.param(["--data", "0=1,x=1"], id="bad_data_entry"),
         pytest.param(["--data", "0=1", "--win-len", "0"], id="zero_win_len"),
         pytest.param(["--data", "0=1", "--win-len", "1000"], id="win_len_above_n"),
         pytest.param(["--data", "0=1", "--hop", "0"], id="zero_hop"),
@@ -229,7 +254,7 @@ class TestAnalyze:
     @pytest.mark.parametrize("case", sorted(BAD_SNR_DB))
     def test_bad_snr_grid_writes_nothing(self, case, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"
-        cfg.write_text(INVALID_CONFIGS[case].replace("{waveform}", "plain"))
+        cfg.write_text(INVALID_CONFIGS[case][1].replace("{waveform}", "plain"))
         out = tmp_path / "snr.csv"
         rc = cli.main(["analyze", "--config", str(cfg), "--mode", "snrpost", "--out", str(out)])
         err = capsys.readouterr().err
@@ -349,13 +374,18 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("case", sorted(INVALID_CONFIGS))
     def test_invalid_value_is_a_usage_error(self, case, tmp_path, capsys):
+        field, text = INVALID_CONFIGS[case]
         cfg = tmp_path / "bad.yaml"
-        cfg.write_text(INVALID_CONFIGS[case].replace("{waveform}", "plain"))
-        rc = cli.main(["ber", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err.startswith("error:")
-        assert "Traceback" not in err
+        cfg.write_text(text.replace("{waveform}", "plain"))
+        out = tmp_path / "x.csv"
+        for command in (["ber"], ["analyze", "--mode", "papr"]):
+            rc = cli.main([*command, "--config", str(cfg), "--out", str(out)])
+            err = capsys.readouterr().err
+            assert rc == 1
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert field in err
+            assert "Traceback" not in err
+            assert not out.exists()
 
     def test_usage_error_exit_code(self):
         assert cli.main(["design"]) == 1  # missing required flags

@@ -62,6 +62,20 @@ class TestLinkConfig:
         with pytest.raises(ValueError, match=field):
             LinkConfig(**{field: value})
 
+    @pytest.mark.parametrize("kwargs, field", [
+        pytest.param({"waveform": "triangular", "n_harmonics": 5}, "n_harmonics",
+                     id="slope_span_missed"),
+        pytest.param({"waveform": "sinusoidal", "deviation": 400.0}, "deviation",
+                     id="deviation_above_m"),
+        pytest.param({"waveform": "plain", "deviation": float("nan")}, "deviation",
+                     id="nan_deviation"),
+        pytest.param({"waveform": "plain", "deviation": 0.0}, "deviation", id="zero_deviation"),
+        pytest.param({"n_harmonics": 0}, "n_harmonics", id="zero_harmonics"),
+    ])
+    def test_unrunnable_config_fails_at_construction(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            LinkConfig(**kwargs)
+
 
 class TestSweep:
     def test_deterministic_and_matches_theory(self):
