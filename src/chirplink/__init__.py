@@ -19,10 +19,9 @@ from .fdss import (
     design_linear,
     design_plain,
     design_sinusoidal,
-    load_filter_csv,
     triangular_trajectory,
 )
-from .numerics import bessel_j, convolve_full, dft, fresnel
+from .numerics import bessel_j_sequence, convolve_full, dft, fresnel
 from .simulation import BerCurve, BerPoint, LinkConfig, ebn0_to_subcarrier_snr, run_ber_sweep
 from .transceiver import (DataFrame, FrameConfig, TxSignal, demodulate, equalize, modulate,
                           qpsk_demap, qpsk_map)
@@ -39,7 +38,7 @@ __all__ = [
     "LinkConfig",
     "SnrPostReport",
     "TxSignal",
-    "bessel_j",
+    "bessel_j_sequence",
     "convolve_full",
     "demodulate",
     "design_arbitrary",
@@ -52,7 +51,6 @@ __all__ = [
     "equalize",
     "freq_response",
     "fresnel",
-    "load_filter_csv",
     "modulate",
     "nmse_db",
     "papr",

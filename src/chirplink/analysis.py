@@ -12,8 +12,8 @@ referenced at the combined level: for a flat filter SNR_post equals snr
 exactly, for any repetition factor (for R = 1 it is simply the
 per-subcarrier SNR).
 
-Diagnostics: Welch-style PSD, short-time spectrogram with ridge
-extraction, PAPR, and NMSE between signals.
+Diagnostics: Welch-style PSD, short-time spectrogram, PAPR, and NMSE
+between signals.
 """
 
 from __future__ import annotations
@@ -128,17 +128,6 @@ def spectrogram(signal, win_len: int = 64, hop: int = 8) -> np.ndarray:
     frames = np.stack([x[s : s + win_len] for s in starts])
     power = np.abs(np.fft.fft(frames, axis=1)) ** 2
     return 10.0 * np.log10(np.maximum(power, 1e-300))
-
-
-def spectrogram_ridge(spec_db: np.ndarray, sample_rate_bins: float) -> np.ndarray:
-    """Peak frequency per time slice, in subcarrier units (signed).
-
-    ``sample_rate_bins`` is the number of subcarrier units spanned by the
-    sampling rate (the IDFT size when one symbol body is one period).
-    """
-    win_len = spec_db.shape[1]
-    freqs = np.fft.fftfreq(win_len) * sample_rate_bins
-    return freqs[np.argmax(spec_db, axis=1)]
 
 
 def papr(signal) -> float:

@@ -23,7 +23,6 @@ energy, and the loss is one minus the in-band energy.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,35 +100,9 @@ class FdssFilter:
     def export_csv(self, path) -> None:
         """Write ``k,re,im`` rows at 17 significant digits (lossless)."""
         with open(path, "w", encoding="ascii") as fh:
-            fh.write(self._csv_text())
-
-    def _csv_text(self) -> str:
-        buf = io.StringIO()
-        buf.write("k,re,im\n")
-        for k, c in zip(self.subcarriers, self.coeffs):
-            buf.write(f"{k},{c.real:.17g},{c.imag:.17g}\n")
-        return buf.getvalue()
-
-
-def load_filter_csv(path) -> FdssFilter:
-    """Read a filter written by :meth:`FdssFilter.export_csv`."""
-    ks, vals = [], []
-    with open(path, encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "k,re,im":
-            raise ValueError(f"unexpected filter CSV header: {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            k, re, im = line.split(",")
-            ks.append(int(k))
-            vals.append(complex(float(re), float(im)))
-    m = len(vals)
-    lo, hi = band_limits(m)
-    if ks != list(range(lo, hi + 1)):
-        raise ValueError("filter CSV subcarrier indices are not the contiguous occupied band")
-    return FdssFilter(np.array(vals))
+            fh.write("k,re,im\n")
+            for k, c in zip(self.subcarriers, self.coeffs):
+                fh.write(f"{k},{c.real:.17g},{c.imag:.17g}\n")
 
 
 def design_plain(m: int) -> FdssFilter:
@@ -164,13 +137,9 @@ def design_sinusoidal(deviation: float, m: int) -> FdssFilter:
     _check_deviation(deviation, m)
     if deviation < 0:
         raise ValueError("deviation must be >= 0")
-    lo, hi = band_limits(m)
-    z = deviation / 2.0
-    max_abs = max(-lo, hi)
-    seq = numerics.bessel_j_sequence(max_abs, z)
-    ks = np.arange(lo, hi + 1)
-    raw = seq[np.abs(ks)] * np.where((ks < 0) & (ks % 2 != 0), -1.0, 1.0)
-    return _from_fourier(raw, m)
+    lo, hi = band_limits(m)  # hi >= -lo, so orders -hi..hi cover the band
+    seq = numerics.bessel_j_sequence(hi, deviation / 2.0)
+    return _from_fourier(seq[hi + lo :], m)
 
 
 def design_linear(deviation: float, m: int) -> FdssFilter:
@@ -240,24 +209,6 @@ class ChirpTrajectory:
     def n_harmonics(self) -> int:
         return len(self.cos_coeffs)
 
-    def f(self, x) -> np.ndarray:
-        """Evaluate the trajectory Fourier series at phase x (radians)."""
-        x = np.asarray(x, dtype=float)
-        n = np.arange(1, self.n_harmonics + 1)
-        return (
-            self.a0 / 2.0
-            + self.cos_coeffs @ np.cos(np.outer(n, x))
-            + self.sin_coeffs @ np.sin(np.outer(n, x))
-        )
-
-    def slope(self, x) -> np.ndarray:
-        """df/dx; the normalized instantaneous-frequency profile in [-1, 1]."""
-        x = np.asarray(x, dtype=float)
-        n = np.arange(1, self.n_harmonics + 1)
-        return (self.sin_coeffs * n) @ np.cos(np.outer(n, x)) - (
-            self.cos_coeffs * n
-        ) @ np.sin(np.outer(n, x))
-
     def _grid_slope(self) -> np.ndarray:
         """df/dx on the grid x_l = 2 pi l / SLOPE_GRID, by one inverse FFT.
 
@@ -316,12 +267,11 @@ def _harmonic_factor(harmonic: int, z: float, phi: float) -> np.ndarray:
     """
     max_order = int(np.ceil(z)) + 40 + int(6 * z ** (1 / 3))
     seq = numerics.bessel_j_sequence(max_order, z)
-    keep = np.nonzero(np.abs(seq) >= BESSEL_TAIL_EPS)[0]
+    keep = np.nonzero(np.abs(seq[max_order:]) >= BESSEL_TAIL_EPS)[0]
     m_max = int(keep[-1]) if len(keep) else 0
     orders = np.arange(-m_max, m_max + 1)
-    vals = seq[np.abs(orders)] * np.where((orders < 0) & (orders % 2 != 0), -1.0, 1.0)
     out = np.zeros(2 * m_max * harmonic + 1, dtype=complex)
-    out[(orders + m_max) * harmonic] = vals * np.exp(1j * phi * orders)
+    out[::harmonic] = seq[max_order - m_max : max_order + m_max + 1] * np.exp(1j * phi * orders)
     return out
 
 

@@ -1,12 +1,12 @@
 """Special functions and spectral transforms used by the waveform modules.
 
-Bessel functions of the first kind come from ``scipy.special.jv``.  This
-module adds the integer-order reflection identities (exact as computed)
-and the argument-domain checks, and ``bessel_j_sequence`` returns the whole
-order sequence J_0 .. J_K that the filter designs sweep in one call.
+Bessel functions of the first kind come from ``scipy.special.jv``.
+``bessel_j_sequence`` returns the signed order sequence J_-K .. J_K that the
+filter designs take, the negative orders by the one reflection rule
+J_-k = (-1)^k J_k, with the argument-domain checks.
 
-Fresnel integrals come from ``scipy.special.fresnel``, take scalars or
-arrays, and follow the pi/2-normalized convention
+Fresnel integrals come from ``scipy.special.fresnel`` (exactly odd in x),
+take scalars or arrays, and follow the pi/2-normalized convention
 
     C(x) = int_0^x cos(pi u^2 / 2) du,   S(x) = int_0^x sin(pi u^2 / 2) du,
 
@@ -23,40 +23,24 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import special as _special
+from scipy.fft import next_fast_len
 
 _MAX_ARG = 1e6
 
 
-def _check_bessel_arg(x: float) -> None:
-    if not np.isfinite(x):
-        raise ValueError("bessel argument must be finite")
-    if abs(x) > _MAX_ARG:
-        raise ValueError(f"bessel argument out of supported range (|x| <= {_MAX_ARG:g})")
-
-
 def bessel_j_sequence(max_order: int, x: float) -> np.ndarray:
-    """Return ``[J_0(x), J_1(x), ..., J_max_order(x)]`` for x >= 0."""
-    _check_bessel_arg(x)
-    if x < 0:
-        raise ValueError("bessel_j_sequence expects x >= 0")
+    """Return ``[J_-K(x), ..., J_0(x), ..., J_K(x)]``, K = max_order, for x >= 0.
+
+    Order k sits at index K + k.  ``jv`` evaluates orders 0..K only; the
+    negative half mirrors them by J_-k = (-1)^k J_k, exact as computed.
+    """
+    if not 0 <= x <= _MAX_ARG:  # NaN fails too
+        raise ValueError(f"bessel argument must be in [0, {_MAX_ARG:g}], got {x}")
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
-    return _special.jv(np.arange(max_order + 1), x)
-
-
-def bessel_j(order: int, x: float) -> float:
-    """Bessel function of the first kind J_order(x), integer order.
-
-    Satisfies the reflection identities J_{-k}(x) = (-1)^k J_k(x) and
-    J_k(-x) = (-1)^k J_k(x) exactly as computed.
-    """
-    _check_bessel_arg(x)
-    order = int(order)
-    value = float(_special.jv(abs(order), abs(x)))
-    # Each reflection flips the sign of an odd order; two flips cancel.
-    if order % 2 and (order < 0) != (x < 0):
-        return -value
-    return value
+    orders = np.arange(max_order + 1)
+    pos = _special.jv(orders, x)
+    return np.concatenate((np.where(orders % 2, -pos, pos)[:0:-1], pos))
 
 
 def fresnel(x):
@@ -69,9 +53,7 @@ def fresnel(x):
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("fresnel argument must be finite")
-    s, c = _special.fresnel(np.abs(arr))
-    neg = arr < 0
-    c, s = np.where(neg, -c, c), np.where(neg, -s, s)
+    s, c = _special.fresnel(arr)
     if arr.ndim == 0:
         return float(c), float(s)
     return c, s
@@ -85,20 +67,6 @@ def dft(values, inverse: bool = False) -> np.ndarray:
     Callers check their inputs where they enter the package.
     """
     return np.fft.ifft(values) if inverse else np.fft.fft(values)
-
-
-def _fast_len(n: int) -> int:
-    """Smallest 2^a 3^b 5^c >= n, a length the FFT handles at full speed."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # the smallest power-of-two multiple of p35 that reaches n
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
 
 
 def convolve_full(*factors: np.ndarray) -> np.ndarray:
@@ -119,7 +87,7 @@ def convolve_full(*factors: np.ndarray) -> np.ndarray:
     if any(len(f) % 2 == 0 for f in factors):
         raise ValueError("centred coefficient arrays must have odd length")
     half = sum(len(f) // 2 for f in factors)
-    size = _fast_len(2 * half + 1)
+    size = next_fast_len(2 * half + 1, real=True)
     spectrum = np.ones(size, dtype=complex)
     for f in factors:
         h = len(f) // 2

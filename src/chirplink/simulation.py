@@ -9,8 +9,8 @@ The sweep runs in the band.  ``LinkConfig`` keeps the channel memory
 within the CP, so after CP removal and the N-point DFT each occupied bin
 is exactly H_k * X_k + W_k, with X_k the transmit band at the equalizer
 reference plane (``TxSignal.band``).  Time-domain noise of variance
-sigma^2 = (N/M)/rho per sample (``sample_noise_variance``: the unit-power
-signal sits on M of the N bins) has iid DFT bins of variance N * sigma^2,
+sigma^2 = (N/M)/rho per sample (the unit-power signal sits on M of the
+N bins) has iid DFT bins of variance N * sigma^2,
 scaled by M/N^2 at the reference plane: N * sigma^2 * M/N^2 = 1/rho.  So
 each frame draws W_k ~ CN(0, 1/rho) directly on its M occupied bins, and
 no IDFT, CP, channel filtering or receiver DFT runs per frame; the BER has
@@ -95,9 +95,9 @@ class LinkConfig:
         if self.n_harmonics < 1:
             raise ValueError(f"n_harmonics must be >= 1, got {self.n_harmonics}")
         if not self.ebn0_grid_db:
-            raise ValueError("ebn0_grid_db must be nonempty")
+            raise ValueError("ebn0_grid_db (config sweep/ebn0_db) must be nonempty")
         if not np.all(np.isfinite(self.ebn0_grid_db)):
-            raise ValueError("ebn0_grid_db must be finite")
+            raise ValueError("ebn0_grid_db (config sweep/ebn0_db) must be finite")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.min_bits < 10_000:
@@ -184,17 +184,6 @@ class BerCurve:
 def ebn0_to_subcarrier_snr(ebn0_db: float, cfg: FrameConfig) -> float:
     """Per-subcarrier SNR (linear) at a given Eb/N0 in dB, for QPSK."""
     return (2.0 / cfg.repetition) * 10.0 ** (ebn0_db / 10.0)
-
-
-def sample_noise_variance(subcarrier_snr: float, cfg: FrameConfig) -> float:
-    """Time-domain noise variance per sample realizing the given rho.
-
-    The guard band concentrates the unit transmit power on M of N bins, so
-    the per-bin SNR exceeds the sample-domain SNR by N/M.  The sweep draws
-    its noise in the band instead; this is the time-domain equivalent, for
-    driving ``transceiver.demodulate`` at the same rho.
-    """
-    return (cfg.idft_size / cfg.subcarriers) / subcarrier_snr
 
 
 def _draw_block(cfg: LinkConfig, rng: np.random.Generator, b: int):

@@ -12,7 +12,6 @@ from chirplink.analysis import (
     psd,
     snr_post,
     spectrogram,
-    spectrogram_ridge,
     theoretical_ber_qpsk,
 )
 from chirplink.fdss import design_plain, triangular_phase_profile
@@ -176,6 +175,16 @@ class TestPsd:
     def test_needs_enough_samples(self):
         with pytest.raises(ValueError):
             psd(np.ones(100, dtype=complex), 64, 4)
+
+
+def spectrogram_ridge(spec_db, sample_rate_bins):
+    """Peak frequency per time slice, in signed subcarrier units.
+
+    ``sample_rate_bins`` is the number of subcarrier units spanned by the
+    sampling rate (the IDFT size when one symbol body is one period).
+    """
+    freqs = np.fft.fftfreq(spec_db.shape[1]) * sample_rate_bins
+    return freqs[np.argmax(spec_db, axis=1)]
 
 
 class TestSpectrogram:

@@ -8,7 +8,6 @@ import pytest
 
 from chirplink import cli, fdss
 from chirplink.channel import ChannelProfile
-from chirplink.fdss import load_filter_csv
 from chirplink.simulation import LinkConfig, design_filter
 
 BASE_CONFIG = """\
@@ -48,8 +47,8 @@ INVALID_CONFIGS = {
                                BASE_CONFIG.replace("subcarriers: 336", "subcarriers: 600")),
     "mismatched_taps": ("tap_delays",
                         _multipath("tap_powers_db: [0.0, -10.0]; tap_delays: [0, 1, 2]")),
-    "nan_ebn0": ("ebn0", BASE_CONFIG.replace("ebn0_db: [5.0, 6.0]", "ebn0_db: [5.0, .nan]")),
-    "inf_ebn0": ("ebn0", BASE_CONFIG.replace("ebn0_db: [5.0, 6.0]", "ebn0_db: [.inf]")),
+    "nan_ebn0": ("ebn0_db", BASE_CONFIG.replace("ebn0_db: [5.0, 6.0]", "ebn0_db: [5.0, .nan]")),
+    "inf_ebn0": ("ebn0_db", BASE_CONFIG.replace("ebn0_db: [5.0, 6.0]", "ebn0_db: [.inf]")),
     "inf_rician_k": ("rician_k", _multipath("rician_k: .inf")),
     "nan_rician_k": ("rician_k", _multipath("rician_k: .nan")),
     # ranges the dataclasses own and the schema does not restate
@@ -64,7 +63,7 @@ INVALID_CONFIGS = {
     "empty_taps": ("tap_powers_db", _multipath("tap_powers_db: []; tap_delays: []")),
     "negative_rician_k": ("rician_k", _multipath("rician_k: -1")),
     "negative_tap_delay": ("tap_delays", _multipath("tap_powers_db: [0.0]; tap_delays: [-1]")),
-    "empty_ebn0": ("ebn0", BASE_CONFIG.replace("ebn0_db: [5.0, 6.0]", "ebn0_db: []")),
+    "empty_ebn0": ("ebn0_db", BASE_CONFIG.replace("ebn0_db: [5.0, 6.0]", "ebn0_db: []")),
     "min_bits_below_floor": ("min_bits", BASE_CONFIG.replace("min_bits: 15000", "min_bits: 5000")),
     "zero_min_errors": ("min_errors", BASE_CONFIG.replace("min_errors: 30", "min_errors: 0")),
     "zero_max_frames": ("max_frames", BASE_CONFIG.replace("max_frames: 4000", "max_frames: 0")),
@@ -113,7 +112,42 @@ class TestDesign:
         assert cli.main(["design", "--waveform", "triangular", "--deviation", "318",
                          "--subcarriers", "336", "--out", str(out)]) == 0
         lib = design_filter("triangular", 318.0, 336)
-        np.testing.assert_array_equal(load_filter_csv(out).coeffs, lib.coeffs)
+        back = np.loadtxt(out, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(back[:, 0], lib.subcarriers)
+        np.testing.assert_array_equal(back[:, 1] + 1j * back[:, 2], lib.coeffs)
+
+    # sha256 of the whole CSV for (waveform, deviation, subcarriers, harmonics):
+    # the designs are closed forms, so a refactor must keep every byte.
+    PINNED_CSV = {
+        ("plain", 318, 336, 64):
+            "b8628dd32356284975d429a62992bffe8d13515e46564db1085a234cbcd2c511",
+        ("linear", 318, 336, 64):
+            "b41685586116be1662948669a50c0301474daa31d6d5f2b8313a1267dd3c9eee",
+        ("sinusoidal", 318, 336, 64):
+            "140f572fd88086da0b93f847c5a15401249134844d6a3240052b34c9c0a3e73f",
+        ("triangular", 318, 336, 64):
+            "2054c210fc4e44648d10ded21f68c01bc37a4fbaa8236b272cdbe7092c6f4835",
+        ("triangular", 318, 336, 41):
+            "a74fb133eb80988c8d5e51dbc6a7be8bab1626253e1fd512e0214e179cd51817",
+        ("plain", 24, 48, 64):
+            "f1d5677d440bf6a64d3b93d69c2b4c772098c35d8bf3e0fadf50e5225084c6a1",
+        ("linear", 24, 48, 64):
+            "3697a981caf5ad0ac9f590b6e5b5e640eb946fdc4e16790b76ac03e889c7e580",
+        ("sinusoidal", 24, 48, 64):
+            "10ef14368aeac00e2957dfee5c08a0cacfd0647e993627250a770e4f116b1c3e",
+        ("triangular", 24, 48, 64):
+            "2b0294f4f2b843d92593055a2315523685ade13ce54cf47a500e9b5a9d7ee2ba",
+    }
+
+    @pytest.mark.parametrize("waveform, deviation, subcarriers, harmonics",
+                             sorted(PINNED_CSV, key=str))
+    def test_csv_pinned(self, waveform, deviation, subcarriers, harmonics, tmp_path):
+        out = tmp_path / "filter.csv"
+        assert cli.main(["design", "--waveform", waveform, "--deviation", str(deviation),
+                         "--subcarriers", str(subcarriers), "--harmonics", str(harmonics),
+                         "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == self.PINNED_CSV[waveform, deviation, subcarriers, harmonics]
 
     def test_rejects_oversized_deviation(self, tmp_path):
         rc = cli.main(["design", "--waveform", "linear", "--deviation", "400",

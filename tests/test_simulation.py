@@ -8,15 +8,16 @@ import pytest
 
 from chirplink import analysis, channel, simulation
 from chirplink.channel import ChannelProfile
+from chirplink.fdss import design_plain
 from chirplink.simulation import (
     BerPoint,
     LinkConfig,
     ebn0_at_ber,
     ebn0_to_subcarrier_snr,
     run_ber_sweep,
-    sample_noise_variance,
 )
-from chirplink.transceiver import DataFrame, FrameConfig, equalize, modulate, qpsk_demap
+from chirplink.transceiver import (DataFrame, FrameConfig, demodulate, equalize, modulate,
+                                    qpsk_demap)
 
 
 class TestSnrConversions:
@@ -29,8 +30,14 @@ class TestSnrConversions:
         assert 10 * np.log10(rho) == pytest.approx(-3.0103, abs=1e-3)
 
     def test_guard_band_noise_factor(self):
-        cfg = FrameConfig()
-        assert sample_noise_variance(1.0, cfg) == pytest.approx(512 / 336)
+        # time-domain noise of variance (N/M)/rho per sample reaches the plain
+        # zero-forcing receiver's symbols at 1/rho, the band noise the sweep draws
+        cfg, rho = FrameConfig(), 4.0
+        rng = np.random.default_rng(5)
+        parts = rng.standard_normal((2, 400, cfg.samples_per_frame))
+        noise = np.sqrt((512 / 336) / rho / 2.0) * (parts[0] + 1j * parts[1])
+        est = demodulate(noise, np.ones(336), design_plain(336), cfg, 0.0)
+        assert np.mean(np.abs(est) ** 2) == pytest.approx(1.0 / rho, rel=0.02)
 
 
 class TestLinkConfig:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from chirplink import analysis, channel, numerics
 from chirplink.channel import ChannelProfile
 from chirplink.fdss import FdssFilter, design_linear, design_plain, design_sinusoidal
-from chirplink.simulation import design_filter, sample_noise_variance
+from chirplink.simulation import design_filter
 from chirplink.transceiver import (
     DataFrame,
     FrameConfig,
@@ -345,9 +345,14 @@ def both_paths(symbols, filt, cfg, h, noise, noise_var):
 
 
 def time_noise(rng, shape, rho, cfg):
-    """Complex time-domain noise realizing per-subcarrier SNR ``rho``."""
+    """Complex time-domain noise realizing per-subcarrier SNR ``rho``.
+
+    The unit-power signal sits on M of the N bins, so the per-sample noise
+    variance is (N/M)/rho.
+    """
     parts = rng.standard_normal((2,) + shape)
-    return np.sqrt(sample_noise_variance(rho, cfg) / 2.0) * (parts[0] + 1j * parts[1])
+    variance = (cfg.idft_size / cfg.subcarriers) / rho
+    return np.sqrt(variance / 2.0) * (parts[0] + 1j * parts[1])
 
 
 @st.composite
