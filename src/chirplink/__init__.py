@@ -10,7 +10,7 @@ and evaluates uncoded link performance against closed-form theory.
 
 __version__ = "0.1.0"
 
-from .analysis import SnrPostReport, nmse_db, papr, psd, snr_post, spectrogram, theoretical_ber_qpsk
+from .analysis import SnrPostReport, papr, psd, snr_post, spectrogram, theoretical_ber_qpsk
 from .channel import ChannelProfile, draw, freq_response
 from .fdss import (
     ChirpTrajectory,
@@ -52,7 +52,6 @@ __all__ = [
     "freq_response",
     "fresnel",
     "modulate",
-    "nmse_db",
     "papr",
     "psd",
     "qpsk_demap",

@@ -7,13 +7,12 @@ after despreading, both captured by
 
     alpha = ( mean_k  g_k / (g_k + R/snr) )^2,   SNR_post = 1 / (sqrt(1/alpha) - 1),
 
-where g_k sums |c|^2 over the R repeated copies of bin k.  ``snr`` is
-referenced at the combined level: for a flat filter SNR_post equals snr
-exactly, for any repetition factor (for R = 1 it is simply the
-per-subcarrier SNR).
+where g_k sums |c|^2 over the R repeated copies of bin k, folded as
+``equalize`` folds them (``transceiver._fold``).  ``snr`` is referenced at
+the combined level: for a flat filter SNR_post equals snr exactly, for any
+repetition factor (for R = 1 it is simply the per-subcarrier SNR).
 
-Diagnostics: Welch-style PSD, short-time spectrogram, PAPR, and NMSE
-between signals.
+Diagnostics: Welch-style PSD, short-time spectrogram and PAPR.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fdss import FdssFilter
+from .transceiver import _fold
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ def snr_post(filt: FdssFilter, snr, repetition: int = 1) -> SnrPostReport:
     r = int(repetition)
     if r < 1 or filt.m % r:
         raise ValueError("repetition must divide the filter band size")
-    grouped = (np.abs(filt.coeffs) ** 2).reshape(r, filt.m // r).sum(axis=0)
+    grouped = _fold(np.abs(filt.coeffs) ** 2, r)
     ratio = grouped / (grouped + r / snr_arr[..., None])
     alpha = np.square(np.add.reduce(ratio, axis=-1) / ratio.shape[-1])
     if scalar:
@@ -137,21 +137,3 @@ def papr(signal) -> float:
         raise ValueError("empty signal")
     p = np.abs(x) ** 2
     return float(10.0 * np.log10(p.max() / p.mean()))
-
-
-def nmse_db(x, ref, optimize_scale: bool = True) -> float:
-    """Normalized mean-square error of x against ref, in dB.
-
-    With ``optimize_scale`` the complex least-squares gain is applied to x
-    first, so bookkeeping amplitude/phase conventions do not count as error.
-    """
-    x = np.asarray(x, dtype=complex)
-    ref = np.asarray(ref, dtype=complex)
-    if x.shape != ref.shape:
-        raise ValueError("shape mismatch")
-    if optimize_scale:
-        x = x * (np.vdot(x, ref) / np.vdot(x, x))
-    err = np.sum(np.abs(x - ref) ** 2)
-    if err == 0.0:
-        return -math.inf
-    return float(10.0 * np.log10(err / np.sum(np.abs(ref) ** 2)))

@@ -34,10 +34,6 @@ EXIT_USAGE = 1
 EXIT_UNDERCONVERGED = 2
 
 
-#: Frames ``analyze --mode psd`` modulates at a time; memory stays flat in psd_frames.
-PSD_BLOCK = 64
-
-
 class UsageError(ValueError):
     """Invalid flags or an unreadable, malformed or schema-invalid config file."""
 
@@ -260,8 +256,9 @@ def cmd_analyze(args) -> int:
         n_frames = int(ana.get("psd_frames", 1000))
         rng = np.random.default_rng(cfg.seed)
         total = np.zeros(frame.idft_size)
-        for start in range(0, n_frames, PSD_BLOCK):
-            bits = rng.integers(0, 2, (min(PSD_BLOCK, n_frames - start), frame.bits_per_frame))
+        block = simulation.FRAME_BLOCK  # memory stays flat in psd_frames
+        for start in range(0, n_frames, block):
+            bits = rng.integers(0, 2, (min(block, n_frames - start), frame.bits_per_frame))
             tx = transceiver.modulate(DataFrame.from_bits(bits), filt, frame)
             for power in np.abs(np.fft.fft(tx.samples[:, frame.cp_len :], axis=1)) ** 2:
                 total += power  # frame by frame, the order of one mean over all frames

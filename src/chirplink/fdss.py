@@ -11,7 +11,7 @@ a bank of M circularly time-shifted chirps.  This module provides:
 * ``design_arbitrary``   any periodic frequency trajectory, as the product
   of upsampled Bessel coefficient sequences (one per trajectory harmonic),
   convolved in one FFT product,
-* ``triangular_trajectory``  the classic down/up triangular sweep.
+* ``triangular_trajectory``  the classic down-then-up triangular sweep.
 
 Every design returns coefficients rescaled to ``sum |c_k|^2 = M`` so that
 filters of different shapes are power-comparable and the all-ones filter
@@ -44,7 +44,9 @@ SLOPE_GRID = 4096
 
 
 def band_limits(m: int) -> tuple[int, int]:
-    """Occupied-band subcarrier limits (lower, upper) for m subcarriers."""
+    """Occupied-band subcarrier limits (lower, upper) for m >= 1 subcarriers."""
+    if m < 1:
+        raise ValueError(f"subcarriers must be >= 1, got {m}")
     return m // 2 - m + 1, m // 2
 
 
@@ -107,6 +109,7 @@ class FdssFilter:
 
 def design_plain(m: int) -> FdssFilter:
     """All-ones filter: plain DFT-spread-OFDM, no spectral shaping."""
+    band_limits(m)  # the designs' band-size rule, before np.ones sees m
     return FdssFilter(np.ones(m, dtype=complex))
 
 
@@ -134,10 +137,10 @@ def design_sinusoidal(deviation: float, m: int) -> FdssFilter:
     The Fourier coefficients of exp(j (D/2) sin theta) are J_k(D/2), so the
     raw filter is the Bessel sequence over the occupied band.
     """
+    lo, hi = band_limits(m)  # hi >= -lo, so orders -hi..hi cover the band
     _check_deviation(deviation, m)
     if deviation < 0:
         raise ValueError("deviation must be >= 0")
-    lo, hi = band_limits(m)  # hi >= -lo, so orders -hi..hi cover the band
     seq = numerics.bessel_j_sequence(hi, deviation / 2.0)
     return _from_fourier(seq[hi + lo :], m)
 
@@ -154,11 +157,11 @@ def design_linear(deviation: float, m: int) -> FdssFilter:
     with x1 = (D - 2k)/sqrt(2D), x2 = (D + 2k)/sqrt(2D) and C, S the
     pi/2-normalized Fresnel integrals of :func:`chirplink.numerics.fresnel`.
     """
+    lo, hi = band_limits(m)
     if deviation <= 0:
         raise ValueError("deviation must be > 0")
     _check_deviation(deviation, m)
     d = float(deviation)
-    lo, hi = band_limits(m)
     ks = np.arange(lo, hi + 1)
     c1, s1 = numerics.fresnel((d - 2 * ks) / np.sqrt(2 * d))
     c2, s2 = numerics.fresnel((d + 2 * ks) / np.sqrt(2 * d))
@@ -225,36 +228,27 @@ class ChirpTrajectory:
 
 
 def triangular_trajectory(
-    n_harmonics: int = 64, down_first: bool = True, deviation: float = DEFAULT_DEVIATION
+    n_harmonics: int, deviation: float = DEFAULT_DEVIATION
 ) -> ChirpTrajectory:
-    """Triangular sweep: a down-chirp then an up-chirp (or the reverse).
+    """Triangular sweep: a down-chirp then an up-chirp.
 
     One period of the trajectory is the odd piecewise-quadratic
 
         f(x) = x^2/pi + x   on [-pi, 0),      f(x) = -x^2/pi + x  on [0, pi),
 
     whose sine-series coefficients reduce to b_n = 8/(pi^2 n^3) for odd n
-    and 0 for even n.  ``down_first=False`` negates the series.
+    and 0 for even n.
 
     The truncated series undershoots the +/-1 slope span by roughly 0.4/N_h,
     so about 41 harmonics are needed to satisfy the trajectory normalization
-    check; the default of 64 leaves comfortable margin.
+    check; ``simulation.TRIANGULAR_HARMONICS`` leaves comfortable margin.
     """
     if n_harmonics < 1:
         raise ValueError("n_harmonics must be >= 1")
     n = np.arange(1, n_harmonics + 1)
     # (4 - 2 pi n sin(pi n) - 4 cos(pi n)) / (pi^2 n^3) at integer n, exactly
     b = np.where(n % 2 == 1, 8.0 / (np.pi**2 * n**3), 0.0)
-    if not down_first:
-        b = -b
     return ChirpTrajectory(0.0, np.zeros(n_harmonics), b, deviation)
-
-
-def triangular_phase_profile(x, down_first: bool = True) -> np.ndarray:
-    """Exact piecewise-quadratic trajectory f(x) of the triangular sweep."""
-    x = np.mod(np.asarray(x, dtype=float) + np.pi, 2 * np.pi) - np.pi
-    f = np.where(x < 0, x**2 / np.pi + x, -(x**2) / np.pi + x)
-    return f if down_first else -f
 
 
 def _harmonic_factor(harmonic: int, z: float, phi: float) -> np.ndarray:
@@ -289,6 +283,7 @@ def design_arbitrary(traj: ChirpTrajectory, m: int) -> FdssFilter:
     Parseval) is reported as ``truncation_loss`` so callers can detect
     overflow.
     """
+    lo, hi = band_limits(m)
     _check_deviation(traj.deviation, m)
     half_dev = traj.deviation / 2.0
     factors = []
@@ -298,7 +293,6 @@ def design_arbitrary(traj: ChirpTrajectory, m: int) -> FdssFilter:
             factors.append(_harmonic_factor(n, z, np.arctan2(a, b)))
     seq = numerics.convolve_full(*factors)
     phase = np.exp(1j * traj.deviation * traj.a0 / 4.0)
-    lo, hi = band_limits(m)
     # seq is centred on index 0; zero-pad it to cover the band, then cut the band out.
     half = len(seq) // 2
     pad = max(0, max(-lo, hi) - half)

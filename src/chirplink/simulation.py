@@ -88,8 +88,6 @@ class LinkConfig:
     n_harmonics: int = TRIANGULAR_HARMONICS
 
     def __post_init__(self):
-        if self.waveform not in WAVEFORMS:
-            raise ValueError(f"unknown waveform {self.waveform!r}; expected one of {WAVEFORMS}")
         if not (np.isfinite(self.deviation) and self.deviation > 0):
             raise ValueError(f"deviation must be finite and > 0, got {self.deviation}")
         if self.n_harmonics < 1:
@@ -110,7 +108,7 @@ class LinkConfig:
         if memory > self.frame.cp_len:
             raise ValueError(f"channel memory {memory} exceeds the cyclic prefix cp_len")
         object.__setattr__(self, "ebn0_grid_db", tuple(float(e) for e in self.ebn0_grid_db))
-        self.filter  # the waveform's design rules (D <= M, slope span) fail here too
+        self.filter  # the waveform name and its design rules (D <= M, slope span) fail here
 
     @cached_property
     def filter(self) -> fdss.FdssFilter:
@@ -249,7 +247,7 @@ def _simulate_point(
         bit_count=bits_sent,
         frame_count=frames,
         error_count=errors,
-        converged=errors >= cfg.min_errors,
+        converged=bits_sent >= cfg.min_bits and errors >= cfg.min_errors,
     )
 
 
@@ -261,8 +259,8 @@ def run_ber_sweep(cfg: LinkConfig) -> BerCurve:
     ``FRAME_BLOCK`` frames drawn by ``_draw_block`` and run in the band
     (``modulate(...).band``, channel gain, band noise, ``equalize``);
     frames drawn after a point's stopping frame are not counted.
-    Under-converged points (fewer than ``min_errors`` errors when
-    ``max_frames`` ran out) are flagged on the curve, not raised.
+    Under-converged points (``max_frames`` ran out before both ``min_bits``
+    and ``min_errors`` were met) are flagged on the curve, not raised.
     """
     filt = cfg.filter
     streams = np.random.SeedSequence(cfg.seed).spawn(len(cfg.ebn0_grid_db))
@@ -278,7 +276,8 @@ def ebn0_at_ber(
 ) -> float:
     """Eb/N0 (dB) where the curve crosses ``target``, by log-BER interpolation.
 
-    Raises if the target is not bracketed by the grid.
+    Raises if the target is not bracketed by the grid, or if the first point
+    at or below it has BER 0 (no errors, so no log-BER to interpolate).
     """
     xs = np.array([p.ebn0_db for p in points])
     ys = np.array([p.theoretical_ber if theory else p.simulated_ber for p in points])
@@ -288,6 +287,8 @@ def ebn0_at_ber(
     if len(below) == 0 or below[0] == 0:
         raise ValueError(f"BER {target:g} not bracketed by the sweep grid")
     i = below[0]
+    if ys[i] == 0:
+        raise ValueError(f"BER 0 at Eb/N0 {xs[i]:g} dB: no errors to interpolate {target:g} from")
     y0, y1 = np.log10(ys[i - 1]), np.log10(ys[i])
     t = (np.log10(target) - y0) / (y1 - y0)
     return float(xs[i - 1] + t * (xs[i] - xs[i - 1]))

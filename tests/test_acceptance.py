@@ -20,11 +20,11 @@ from chirplink.fdss import (
     design_linear,
     design_plain,
     design_sinusoidal,
-    triangular_phase_profile,
     triangular_trajectory,
 )
 from chirplink.simulation import LinkConfig, design_filter, ebn0_at_ber, run_ber_sweep
 from chirplink.transceiver import DataFrame, FrameConfig, modulate
+from oracles import nmse_db, piecewise_triangle
 
 M, N, D = 336, 512, 318.0
 WAVEFORMS = ("plain", "linear", "sinusoidal", "triangular")
@@ -112,12 +112,12 @@ def test_c1_synthesis_fidelity():
     tau = np.arange(N) / N
     targets = {
         "sinusoidal": (np.exp(1j * (D / 2) * np.sin(2 * np.pi * tau)), -25.0),
-        "triangular": (np.exp(1j * (D / 2) * triangular_phase_profile(2 * np.pi * tau)), -25.0),
+        "triangular": (np.exp(1j * (D / 2) * piecewise_triangle(2 * np.pi * tau)), -25.0),
         "linear": (np.exp(1j * np.pi * D * (tau**2 - tau)), -15.0),
     }
     results = {}
     for waveform, (reference, bound) in targets.items():
-        level = analysis.nmse_db(synthesize_chirp(waveform), reference)
+        level = nmse_db(synthesize_chirp(waveform), reference)
         assert level <= bound, f"{waveform}: NMSE {level:.2f} dB exceeds {bound} dB"
         results[waveform] = level
     _ok(1, "synthesis NMSE dB: " + ", ".join(

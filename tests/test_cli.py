@@ -154,6 +154,16 @@ class TestDesign:
                        "--subcarriers", "336", "--out", str(tmp_path / "x.csv")])
         assert rc == 1
 
+    @pytest.mark.parametrize("subcarriers", ["0", "-5"])
+    @pytest.mark.parametrize("waveform", ["plain", "linear", "sinusoidal", "triangular"])
+    def test_rejects_empty_band(self, waveform, subcarriers, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = cli.main(["design", "--waveform", waveform, "--deviation", "4",
+                       "--subcarriers", subcarriers, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: subcarriers must be >= 1, got {subcarriers}\n"
+        assert not out.exists()
+
     def test_rejects_unknown_waveform(self, tmp_path):
         rc = cli.main(["design", "--waveform", "zigzag", "--subcarriers", "8",
                        "--out", str(tmp_path / "x.csv")])

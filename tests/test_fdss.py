@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from chirplink import analysis, fdss
+from chirplink import fdss
 from chirplink.fdss import (
     ChirpTrajectory,
     band_limits,
@@ -16,6 +16,7 @@ from chirplink.fdss import (
     design_sinusoidal,
     triangular_trajectory,
 )
+from oracles import nmse_db, piecewise_triangle
 
 M, N, D = 336, 512, 318.0
 
@@ -25,12 +26,6 @@ def synthesize_single_chirp(filt, n=N):
     grid = np.zeros(n, dtype=complex)
     grid[filt.subcarriers % n] = filt.coeffs
     return np.fft.ifft(grid)
-
-
-def piecewise_triangle(x):
-    """Independent piecewise-quadratic triangular profile (down-chirp first)."""
-    x = np.mod(np.asarray(x, dtype=float) + np.pi, 2 * np.pi) - np.pi
-    return np.where(x < 0, x**2 / np.pi + x, -(x**2) / np.pi + x)
 
 
 def trajectory_f(traj, x):
@@ -130,8 +125,6 @@ class TestTrajectory:
         assert b[0] == pytest.approx(8 / np.pi**2)    # n = 1
         assert b[2] == pytest.approx(8 / (np.pi**2 * 27))  # n = 3
         assert np.all(b[1::2] == 0.0)
-        flipped = triangular_trajectory(64, down_first=False)
-        np.testing.assert_allclose(flipped.sin_coeffs, -b)
 
     def test_triangular_needs_converged_series(self):
         # below ~41 harmonics the truncated slope misses the +/-1 span by >1%
@@ -254,7 +247,7 @@ class TestArbitrary:
         synth = synthesize_single_chirp(filt)
         tau = np.arange(N) / N
         ref = np.exp(1j * (D / 2) * piecewise_triangle(2 * np.pi * tau))
-        assert analysis.nmse_db(synth, ref) <= -25.0
+        assert nmse_db(synth, ref) <= -25.0
 
     def test_reports_truncation_loss(self):
         traj = triangular_trajectory(64, deviation=D)
@@ -282,6 +275,17 @@ class TestFilterInvariants:
         assert filt.subcarriers[0] == M // 2 - M + 1
         assert filt.subcarriers[-1] == M // 2
         assert abs(np.sum(np.abs(filt.coeffs) ** 2) - M) < 1e-9 * M
+
+    @pytest.mark.parametrize("m", [0, -5])
+    @pytest.mark.parametrize("make", [
+        design_plain,
+        lambda m: design_linear(4.0, m),
+        lambda m: design_sinusoidal(4.0, m),
+        lambda m: design_arbitrary(triangular_trajectory(64, deviation=4.0), m),
+    ], ids=["plain", "linear", "sinusoidal", "triangular"])
+    def test_band_size_named(self, make, m):
+        with pytest.raises(ValueError, match=f"^subcarriers must be >= 1, got {m}$"):
+            make(m)
 
     def test_truncation_loss_monotone_in_band_size(self):
         losses = [design_sinusoidal(100.0, m).truncation_loss for m in (104, 128, 168, 336)]

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chirplink import analysis, channel, simulation
 from chirplink.channel import ChannelProfile
@@ -180,12 +182,13 @@ class TestSweep:
         assert point.simulated_ber > point.theoretical_ber
 
 
-def replay_point(cfg: LinkConfig) -> BerPoint:
+def replay_point(cfg: LinkConfig, counts: list | None = None) -> BerPoint:
     """The first grid point of ``cfg``, one single-frame band-domain call at a time.
 
     Takes each block from ``simulation._draw_block``, forms each frame's
     occupied band as H * band + sqrt(1/(2 rho)) * (n_re + j n_im), and stops
-    at the first frame that meets the targets or the frame cap.
+    at the first frame that meets the targets or the frame cap.  ``counts``,
+    if given, receives the running (bits, errors) after every frame.
     """
     frame, filt, ebn0 = cfg.frame, cfg.filter, cfg.ebn0_grid_db[0]
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(len(cfg.ebn0_grid_db))[0])
@@ -206,13 +209,14 @@ def replay_point(cfg: LinkConfig) -> BerPoint:
             errors += int(np.sum(qpsk_demap(symbols) != bits[i]))
             bits_sent += frame.bits_per_frame
             frames += 1
-            if frames == cfg.max_frames or (
-                bits_sent >= cfg.min_bits and errors >= cfg.min_errors
-            ):
+            if counts is not None:
+                counts.append((bits_sent, errors))
+            met = bits_sent >= cfg.min_bits and errors >= cfg.min_errors
+            if frames == cfg.max_frames or met:
                 report = analysis.snr_post(filt, frame.repetition * rho, frame.repetition)
                 return BerPoint(ebn0, float(10.0 * np.log10(rho)), errors / bits_sent,
                                 analysis.theoretical_ber_qpsk(report.snr_post),
-                                bits_sent, frames, errors, errors >= cfg.min_errors)
+                                bits_sent, frames, errors, met)
 
 
 class TestBlockEngine:
@@ -263,6 +267,31 @@ class TestBlockEngine:
         assert hashlib.sha256(rows.encode()).hexdigest() == digest
 
 
+class TestStoppingRule:
+    """Invariants of the stopping rule on small random configurations."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(waveform=st.sampled_from(simulation.WAVEFORMS), repetition=st.sampled_from([1, 2, 4, 8]),
+           fading=st.booleans(), ebn0=st.floats(-2.0, 12.0), min_errors=st.integers(1, 300),
+           max_frames=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
+    def test_invariants(self, waveform, repetition, fading, ebn0, min_errors, max_frames, seed):
+        cfg = LinkConfig(frame=FrameConfig(repetition=repetition), waveform=waveform,
+                         channel_profile=ChannelProfile() if fading else None,
+                         ebn0_grid_db=(ebn0,), min_bits=10_000, min_errors=min_errors,
+                         max_frames=max_frames, seed=seed)
+
+        def met(bits, errors):
+            return bits >= cfg.min_bits and errors >= cfg.min_errors
+
+        counts = []
+        point = run_ber_sweep(cfg).points[0]
+        assert point == replay_point(cfg, counts)
+        assert point.frame_count == len(counts) <= cfg.max_frames
+        assert point.converged == met(point.bit_count, point.error_count)
+        if point.frame_count > 1:
+            assert not met(*counts[-2])
+
+
 class TestCrossing:
     def _points(self, bers, ebn0s=(4.0, 5.0, 6.0)):
         return [
@@ -280,3 +309,8 @@ class TestCrossing:
             ebn0_at_ber(self._points([1e-2, 8e-3, 5e-3]), 1e-3)
         with pytest.raises(ValueError):
             ebn0_at_ber(self._points([1e-4, 1e-5, 1e-6]), 1e-3)
+
+    def test_zero_ber_at_the_crossing_raises(self):
+        # an error-free point has no log-BER; it must not read as the previous point
+        with pytest.raises(ValueError, match="Eb/N0 1 dB"):
+            ebn0_at_ber(self._points([1e-2, 0.0], ebn0s=(0.0, 1.0)), 1e-3)

@@ -371,6 +371,63 @@ def numerologies(draw):
     return cfg, ChannelProfile(tuple(powers), draw(st.floats(0.0, 100.0)), tuple(delays))
 
 
+def random_filter(rng, m):
+    """Unit-average-power filter of complex Gaussian coefficients (almost surely no zero bin)."""
+    parts = rng.standard_normal((2, m))
+    coeffs = parts[0] + 1j * parts[1]
+    return FdssFilter(coeffs * np.sqrt(m / np.sum(np.abs(coeffs) ** 2)))
+
+
+class TestRandomNumerologies:
+    """TestModulate's and TestDemodulate's laws beyond the default numerology."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(numerology=numerologies(), seed=st.integers(0, 2**32 - 1))
+    def test_noiseless_round_trip(self, numerology, seed):
+        cfg, profile = numerology
+        rng = np.random.default_rng(seed)
+        filt = random_filter(rng, cfg.subcarriers)
+        bits = rng.integers(0, 2, (2, cfg.bits_per_frame), dtype=np.uint8)
+        rx = modulate(DataFrame.from_bits(bits), filt, cfg).samples
+        h_band = np.ones(cfg.subcarriers)
+        if profile is not None:
+            h = channel.draw(profile, rng, 2)
+            rx = channel.apply(rx, h)
+            h_band = channel.freq_response(h, cfg.idft_size)[:, filt.subcarriers % cfg.idft_size]
+        symbols = demodulate(rx, h_band, filt, cfg, 0.0)  # zero-forcing: exact recovery
+        assert np.max(np.abs(symbols - qpsk_map(bits))) < 1e-8
+        np.testing.assert_array_equal(qpsk_demap(symbols), bits)
+
+    @settings(max_examples=60, deadline=None)
+    @given(numerology=numerologies(), seed=st.integers(0, 2**32 - 1))
+    def test_unit_average_transmit_power(self, numerology, seed):
+        # Body power is a quadratic form in the data, so its mean over the
+        # frames sqrt(S) * (rows of a unitary matrix), whose second moments
+        # are those of unit-power data, is exactly its expectation.
+        cfg, _ = numerology
+        rng = np.random.default_rng(seed)
+        s = cfg.symbols_per_frame
+        parts = rng.standard_normal((2, s, s))
+        unitary, _ = np.linalg.qr(parts[0] + 1j * parts[1])
+        tx = modulate(DataFrame(np.sqrt(s) * unitary), random_filter(rng, cfg.subcarriers), cfg)
+        assert np.mean(np.abs(tx.samples[:, cfg.cp_len :]) ** 2) == pytest.approx(1.0, rel=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(numerology=numerologies(), seed=st.integers(0, 2**32 - 1),
+           shift=st.integers(0, 2**16))
+    def test_circular_shift_law(self, numerology, seed, shift):
+        # shifting the data by m turns spread bin k mod S by exp(-2 pi j k m / S)
+        cfg, _ = numerology
+        rng = np.random.default_rng(seed)
+        filt = random_filter(rng, cfg.subcarriers)
+        s = cfg.symbols_per_frame
+        d = qpsk_map(rng.integers(0, 2, cfg.bits_per_frame))
+        ref = modulate(DataFrame(d), filt, cfg).freq_symbols
+        got = modulate(DataFrame(np.roll(d, shift)), filt, cfg).freq_symbols
+        expect = ref * np.exp(-2j * np.pi * (filt.subcarriers * shift % s) / s)
+        assert np.max(np.abs(got - expect)) < 1e-12 * np.max(np.abs(ref))
+
+
 class TestBandTimeIdentity:
     """With CP >= channel memory, equalizing the band equals the time-domain chain.
 
@@ -398,9 +455,7 @@ class TestBandTimeIdentity:
     def test_random_numerologies(self, numerology, count, snr_db, seed):
         cfg, profile = numerology
         rng = np.random.default_rng(seed)
-        parts = rng.standard_normal((2, cfg.subcarriers))
-        coeffs = parts[0] + 1j * parts[1]
-        filt = FdssFilter(coeffs * np.sqrt(cfg.subcarriers / np.sum(np.abs(coeffs) ** 2)))
+        filt = random_filter(rng, cfg.subcarriers)
         symbols = qpsk_map(rng.integers(0, 2, (count, cfg.bits_per_frame)))
         h = None if profile is None else channel.draw(profile, rng, count)
         rho = 10.0 ** (snr_db / 10.0)
