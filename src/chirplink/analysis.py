@@ -64,7 +64,7 @@ def snr_post(filt: FdssFilter, snr, repetition: int = 1) -> SnrPostReport:
         alpha = float(alpha)
         if alpha >= 1.0:
             return SnrPostReport(1.0, math.inf)
-        return SnrPostReport(alpha, 1.0 / (math.sqrt(1.0 / alpha) - 1.0))
+        return SnrPostReport(alpha, 1.0 / (math.sqrt(1.0 / alpha) - 1.0) if alpha else 0.0)
     alpha = np.minimum(alpha, 1.0)
     with np.errstate(divide="ignore"):
         post = 1.0 / (np.sqrt(1.0 / alpha) - 1.0)  # inf where saturated

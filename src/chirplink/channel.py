@@ -45,8 +45,8 @@ class ChannelProfile:
 
     @property
     def tap_powers(self) -> np.ndarray:
-        """Linear tap powers normalized to unit total."""
-        p = 10.0 ** (np.asarray(self.tap_powers_db) / 10.0)
+        """Linear tap powers normalized to unit total (relative to the strongest tap first)."""
+        p = 10.0 ** ((np.asarray(self.tap_powers_db) - max(self.tap_powers_db)) / 10.0)
         return p / p.sum()
 
     @property

@@ -140,14 +140,6 @@ def link_config_from(raw: dict) -> LinkConfig:
     )
 
 
-def _db_to_linear(s: float) -> float:
-    """10^(s/10); inf where Python's float power raises instead of overflowing."""
-    try:
-        return 10.0 ** (s / 10.0)
-    except OverflowError:
-        return math.inf
-
-
 def snr_grid(raw: dict) -> tuple[list, np.ndarray]:
     """The ``analyze --mode snrpost`` grid: values in dB and linear SNRs.
 
@@ -155,7 +147,7 @@ def snr_grid(raw: dict) -> tuple[list, np.ndarray]:
     finite, positive linear SNR.
     """
     grid_db = raw.get("analysis", {}).get("snr_db", list(np.arange(-10.0, 31.0, 2.0)))
-    snr = np.array([_db_to_linear(s) for s in grid_db])
+    snr = np.array([simulation.db_to_linear(s) for s in grid_db])
     bad = [s for s, v in zip(grid_db, snr) if not (math.isfinite(v) and v > 0)]
     if bad:
         raise ValueError(f"analysis/snr_db values {bad} do not give finite positive SNRs")

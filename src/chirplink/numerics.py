@@ -13,10 +13,10 @@ take scalars or arrays, and follow the pi/2-normalized convention
 which is the convention that makes the linear-chirp shaping closed form
 agree with a direct Fourier-integral evaluation.
 
-``dft`` fixes the transform scaling.  ``convolve_full`` multiplies any
-number of Fourier series given as coefficient arrays centred on index 0,
-as one FFT product over a length that holds the whole linear convolution,
-so the circular product cannot wrap around.
+``dft`` is unitary both ways, so it keeps power.  ``convolve_full``
+multiplies any number of Fourier series given as coefficient arrays
+centred on index 0, as one FFT product over a length that holds the
+whole linear convolution, so the circular product cannot wrap around.
 """
 
 from __future__ import annotations
@@ -60,13 +60,13 @@ def fresnel(x):
 
 
 def dft(values, inverse: bool = False) -> np.ndarray:
-    """DFT with the unnormalized-forward convention, along the last axis.
+    """Unitary DFT along the last axis: sum |X_k|^2 = sum |x_n|^2.
 
-    Forward: X_k = sum_n x_n exp(-j 2 pi k n / L).
-    Inverse: x_n = (1/L) sum_k X_k exp(+j 2 pi k n / L).
+    Forward: X_k = (1/sqrt(L)) sum_n x_n exp(-j 2 pi k n / L).
+    Inverse: x_n = (1/sqrt(L)) sum_k X_k exp(+j 2 pi k n / L).
     Callers check their inputs where they enter the package.
     """
-    return np.fft.ifft(values) if inverse else np.fft.fft(values)
+    return np.fft.ifft(values, norm="ortho") if inverse else np.fft.fft(values, norm="ortho")
 
 
 def convolve_full(*factors: np.ndarray) -> np.ndarray:

@@ -9,12 +9,12 @@ The sweep runs in the band.  ``LinkConfig`` keeps the channel memory
 within the CP, so after CP removal and the N-point DFT each occupied bin
 is exactly H_k * X_k + W_k, with X_k the transmit band at the equalizer
 reference plane (``TxSignal.band``).  Time-domain noise of variance
-sigma^2 = (N/M)/rho per sample (the unit-power signal sits on M of the
-N bins) has iid DFT bins of variance N * sigma^2,
-scaled by M/N^2 at the reference plane: N * sigma^2 * M/N^2 = 1/rho.  So
-each frame draws W_k ~ CN(0, 1/rho) directly on its M occupied bins, and
-no IDFT, CP, channel filtering or receiver DFT runs per frame; the BER has
-the same distribution as the time-domain chain's.
+(N/M)/rho per sample (the unit-power signal sits on M of the N bins) has
+iid unitary-DFT bins of the same variance, and ``demodulate``'s sqrt(M/N)
+scales that by M/N at the reference plane: 1/rho.  So each frame draws
+W_k ~ CN(0, 1/rho) directly on its M occupied bins, and no IDFT, CP,
+channel filtering or receiver DFT runs per frame; the BER has the same
+distribution as the time-domain chain's.
 
 Sweeps are deterministic: every grid point draws its random stream from a
 child of the configured seed, spawned up front in grid order, so results
@@ -30,6 +30,7 @@ the counts are those of a frame-by-frame loop over the same stream.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
@@ -56,6 +57,10 @@ def design_filter(
     n_harmonics: int = TRIANGULAR_HARMONICS,
 ) -> fdss.FdssFilter:
     """Build the shaping filter for one of the named waveforms."""
+    if not (np.isfinite(deviation) and deviation > 0):
+        raise ValueError(f"deviation must be finite and > 0, got {deviation}")
+    if n_harmonics < 1:
+        raise ValueError(f"n_harmonics must be >= 1, got {n_harmonics}")
     if waveform == "plain":
         return fdss.design_plain(m)
     if waveform == "linear":
@@ -88,14 +93,13 @@ class LinkConfig:
     n_harmonics: int = TRIANGULAR_HARMONICS
 
     def __post_init__(self):
-        if not (np.isfinite(self.deviation) and self.deviation > 0):
-            raise ValueError(f"deviation must be finite and > 0, got {self.deviation}")
-        if self.n_harmonics < 1:
-            raise ValueError(f"n_harmonics must be >= 1, got {self.n_harmonics}")
         if not self.ebn0_grid_db:
             raise ValueError("ebn0_grid_db (config sweep/ebn0_db) must be nonempty")
-        if not np.all(np.isfinite(self.ebn0_grid_db)):
-            raise ValueError("ebn0_grid_db (config sweep/ebn0_db) must be finite")
+        rho = [(e, ebn0_to_subcarrier_snr(e, self.frame)) for e in self.ebn0_grid_db]
+        bad = [e for e, r in rho if not (0 < r < math.inf and 1 / r < math.inf)]  # NaN too
+        if bad:
+            raise ValueError(f"ebn0_grid_db (config sweep/ebn0_db) values {bad} do not give"
+                             " finite positive SNRs rho and 1/rho")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.min_bits < 10_000:
@@ -108,7 +112,7 @@ class LinkConfig:
         if memory > self.frame.cp_len:
             raise ValueError(f"channel memory {memory} exceeds the cyclic prefix cp_len")
         object.__setattr__(self, "ebn0_grid_db", tuple(float(e) for e in self.ebn0_grid_db))
-        self.filter  # the waveform name and its design rules (D <= M, slope span) fail here
+        self.filter  # the waveform, deviation, harmonics and design rules fail here
 
     @cached_property
     def filter(self) -> fdss.FdssFilter:
@@ -179,9 +183,17 @@ class BerCurve:
         return buf.getvalue()
 
 
+def db_to_linear(db: float) -> float:
+    """10^(db/10); inf where Python's float power raises instead of overflowing."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def ebn0_to_subcarrier_snr(ebn0_db: float, cfg: FrameConfig) -> float:
     """Per-subcarrier SNR (linear) at a given Eb/N0 in dB, for QPSK."""
-    return (2.0 / cfg.repetition) * 10.0 ** (ebn0_db / 10.0)
+    return (2.0 / cfg.repetition) * db_to_linear(ebn0_db)
 
 
 def _draw_block(cfg: LinkConfig, rng: np.random.Generator, b: int):

@@ -11,8 +11,8 @@ frequency copies, single-tap MMSE equalize, despread with an (M/R)-point
 IDFT, slice.
 
 Both chains meet at the equalizer reference plane, the occupied band
-scaled to unit average data power: ``TxSignal.band`` on the way out (the
-time samples are built only when read), ``equalize`` on the way in, after
+at unit average data power: ``TxSignal.band`` on the way out (the time
+samples are built only when read), ``equalize`` on the way in, after
 ``demodulate``'s DFT and band extraction.
 
 Every function works along the last axis: one frame is a 1-d array, a
@@ -23,8 +23,9 @@ Conventions fixed here because they matter for reproducibility:
 
 * Subcarrier-to-bin alignment is natural FFT order with negative indices
   wrapped modulo the transform size (k <-> k mod M and k mod N).
-* The IDFT output is scaled so a frame of unit-energy data symbols has
-  unit average sample power for every unit-average-power filter and any
+* Every DFT is unitary.  The one other scale is sqrt(N/M) on the IDFT
+  (sqrt(M/N) after the receiver DFT): it gives unit-energy data unit
+  average sample power for every unit-average-power filter and any
   repetition factor.
 * ``noise_var`` at the receiver is the per-subcarrier noise variance at
   the equalizer reference plane where the data spectrum has unit average
@@ -96,31 +97,26 @@ class DataFrame:
 class TxSignal:
     """Transmitted symbols: the shaped spectrum, and CP + body built from it.
 
-    ``freq_symbols[..., i]`` is the post-shaping value on subcarrier
-    l_down + i, shape (M,) for one frame or (B, M) for B.  ``band`` is the
-    same spectrum at the equalizer reference plane: what ``demodulate``'s
-    DFT and band extraction recover from ``samples`` over a noiseless flat
-    channel.  ``samples``, shape (N + CP,) or (B, N + CP), are synthesized
-    (IDFT, CP) on first access, so a caller that stays in the band never
+    ``band[..., i]`` is the post-shaping value on subcarrier l_down + i at
+    the equalizer reference plane (unit average power), shape (M,) for one
+    frame or (B, M) for B: what ``demodulate``'s DFT and band extraction
+    recover from ``samples`` over a noiseless flat channel.  ``samples``,
+    shape (N + CP,) or (B, N + CP), are synthesized (sqrt(N/M) times the
+    IDFT, CP) on first access, so a caller that stays in the band never
     pays for them.
     """
 
-    freq_symbols: np.ndarray
+    band: np.ndarray
     cfg: FrameConfig
-
-    @property
-    def band(self) -> np.ndarray:
-        """``freq_symbols * sqrt(R/M)``: the data spectrum at unit average power."""
-        return self.freq_symbols * np.sqrt(self.cfg.repetition / self.cfg.subcarriers)
 
     @cached_property
     def samples(self) -> np.ndarray:
         cfg = self.cfg
         n = cfg.idft_size
         low, high = band_limits(cfg.subcarriers)
-        grid = np.zeros(self.freq_symbols.shape[:-1] + (n,), dtype=complex)
-        grid[..., np.arange(low, high + 1) % n] = self.freq_symbols
-        body = numerics.dft(grid, inverse=True) * _amplitude(cfg)
+        grid = np.zeros(self.band.shape[:-1] + (n,), dtype=complex)
+        grid[..., np.arange(low, high + 1) % n] = self.band
+        body = numerics.dft(grid, inverse=True) * np.sqrt(n / cfg.subcarriers)
         return np.concatenate([body[..., n - cfg.cp_len :], body], axis=-1)
 
 
@@ -158,19 +154,13 @@ def qpsk_demap(symbols) -> np.ndarray:
     return (symbols.view(float) < 0).view(np.uint8)
 
 
-def _amplitude(cfg: FrameConfig) -> float:
-    # Makes E|sample|^2 = 1: the body is (1/N) sum_k c_k U_k e^{...} with
-    # E|U_k|^2 = M/R and sum |c_k|^2 = M, i.e. raw mean power (M/N)^2 / R.
-    return cfg.idft_size * np.sqrt(cfg.repetition) / cfg.subcarriers
-
-
 def modulate(data: DataFrame, filt: FdssFilter, cfg: FrameConfig) -> TxSignal:
     """Shape the spectrum of a data frame; the CP-prefixed symbols follow on demand.
 
-    The M-point DFT of the sparse input (data on every R-th bin) is R tiled
-    copies of the (M/R)-point DFT of the data, computed directly in that
-    form so the repetition structure is exact.  The returned ``TxSignal``
-    holds the shaped spectrum; its ``samples`` are synthesized when read.
+    The spread spectrum is R tiled copies of the unitary (M/R)-point DFT
+    of the data, so the repetition structure is exact and every copy has
+    unit average power.  The returned ``TxSignal`` holds the shaped band;
+    its ``samples`` are synthesized when read.
     """
     if filt.m != cfg.subcarriers:
         raise ValueError("filter band does not match the frame configuration")
@@ -181,7 +171,7 @@ def modulate(data: DataFrame, filt: FdssFilter, cfg: FrameConfig) -> TxSignal:
         )
     if not np.all(np.isfinite(d)):
         raise ValueError("data symbols must be finite")
-    spread = np.tile(numerics.dft(d), cfg.repetition)  # M-point DFT of the sparse input
+    spread = np.tile(numerics.dft(d), cfg.repetition)
     return TxSignal(filt.coeffs * spread[..., filt.subcarriers % cfg.subcarriers], cfg)
 
 
@@ -194,8 +184,8 @@ def demodulate(
 ) -> np.ndarray:
     """Recover the data symbols of received symbols.
 
-    Drops the CP, takes the N-point DFT, extracts the occupied band at the
-    equalizer reference plane and hands it to :func:`equalize`.
+    Drops the CP, takes the N-point DFT, extracts the occupied band times
+    sqrt(M/N) (the equalizer reference plane) and hands it to :func:`equalize`.
 
     Parameters
     ----------
@@ -220,8 +210,7 @@ def demodulate(
         raise ValueError("rx must be finite")
     n = cfg.idft_size
     spectrum = numerics.dft(rx[..., cfg.cp_len :])
-    # Undo the transmit scaling so the data spectrum has unit average power.
-    band = spectrum[..., filt.subcarriers % n] * (np.sqrt(cfg.subcarriers) / n)
+    band = spectrum[..., filt.subcarriers % n] * np.sqrt(cfg.subcarriers / n)
     return equalize(band, channel_freq, filt, cfg, noise_var)
 
 
@@ -281,9 +270,8 @@ def equalize(
     equalized = combined * (1.0 / (combined_gain + noise_var))
     # Despread: subcarrier kappa = l_down + i carries bin kappa mod (M/R) of
     # the data DFT, so the combined bins are that DFT rotated by l_down.
-    per_group = m // r
-    despread_in = np.roll(equalized, filt.l_down % per_group, axis=-1)
-    return numerics.dft(despread_in, inverse=True) * np.sqrt(per_group)
+    despread_in = np.roll(equalized, filt.l_down % (m // r), axis=-1)
+    return numerics.dft(despread_in, inverse=True)
 
 
 def _fold(values: np.ndarray, r: int) -> np.ndarray:

@@ -99,8 +99,10 @@ class TestSnrPost:
     @pytest.mark.parametrize("name", list(FILTERS))
     @pytest.mark.parametrize("repetition", [1, 4])
     def test_array_equals_scalar_calls(self, name, repetition):
-        # the last three saturate (alpha = 1, snr_post = inf) for the flat filter
-        snr = np.concatenate([10.0 ** (np.linspace(-30.0, 60.0, 240) / 10.0), [1e17, 1e20, 1e300]])
+        # the first three underflow alpha to 0 (snr_post = 0); the last three
+        # saturate (alpha = 1, snr_post = inf) for the flat filter
+        snr = np.concatenate([[1e-300, 1e-250, 1e-200],
+                              10.0 ** (np.linspace(-30.0, 60.0, 240) / 10.0), [1e17, 1e20, 1e300]])
         report = snr_post(FILTERS[name], snr.reshape(3, -1), repetition)
         assert report.alpha_mmse.shape == report.snr_post.shape == (3, len(snr) // 3)
         singles = [snr_post(FILTERS[name], float(s), repetition) for s in snr]

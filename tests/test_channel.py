@@ -28,6 +28,20 @@ class TestProfile:
             with pytest.raises(ValueError, match="rician_k"):
                 ChannelProfile(rician_k=k)
 
+    @pytest.mark.parametrize("shift", [4000.0, -4000.0])
+    def test_common_offset_leaves_powers_unchanged(self, shift):
+        # 10^(dB/10) alone over- or underflows here; relative to the strongest
+        # tap it does not
+        base = ChannelProfile((0.0, -10.0, -20.0))
+        shifted = ChannelProfile(tuple(p + shift for p in base.tap_powers_db))
+        np.testing.assert_array_equal(shifted.tap_powers, base.tap_powers)
+
+    @pytest.mark.parametrize("powers_db", [(4000.0, 0.0), (-4000.0, -4000.0)])
+    def test_extreme_powers_draw_finite(self, powers_db):
+        p = ChannelProfile(powers_db, 10.0, (0, 1))
+        assert np.all(np.isfinite(p.tap_powers)) and p.tap_powers.sum() == 1.0
+        assert np.all(np.isfinite(channel.draw(p, np.random.default_rng(3), 16)))
+
 
 class TestDraw:
     def test_huge_k_factor_degenerates(self):

@@ -64,6 +64,9 @@ INVALID_CONFIGS = {
     "negative_rician_k": ("rician_k", _multipath("rician_k: -1")),
     "negative_tap_delay": ("tap_delays", _multipath("tap_powers_db: [0.0]; tap_delays: [-1]")),
     "empty_ebn0": ("ebn0_db", BASE_CONFIG.replace("ebn0_db: [5.0, 6.0]", "ebn0_db: []")),
+    # finite Eb/N0 whose rho overflows to inf, or underflows to 0
+    "huge_ebn0": ("ebn0_db", BASE_CONFIG.replace("ebn0_db: [5.0, 6.0]", "ebn0_db: [4000]")),
+    "tiny_ebn0": ("ebn0_db", BASE_CONFIG.replace("ebn0_db: [5.0, 6.0]", "ebn0_db: [-4000]")),
     "min_bits_below_floor": ("min_bits", BASE_CONFIG.replace("min_bits: 15000", "min_bits: 5000")),
     "zero_min_errors": ("min_errors", BASE_CONFIG.replace("min_errors: 30", "min_errors: 0")),
     "zero_max_frames": ("max_frames", BASE_CONFIG.replace("max_frames: 4000", "max_frames: 0")),
@@ -162,6 +165,20 @@ class TestDesign:
                        "--subcarriers", subcarriers, "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err == f"error: subcarriers must be >= 1, got {subcarriers}\n"
+        assert not out.exists()
+
+    # the design rules a config's deviation and n_harmonics follow
+    @pytest.mark.parametrize("flags, message", [
+        (["plain", "--deviation", "nan"], "deviation must be finite and > 0, got nan"),
+        (["plain", "--deviation", "-5"], "deviation must be finite and > 0, got -5.0"),
+        (["sinusoidal", "--deviation", "0"], "deviation must be finite and > 0, got 0.0"),
+        (["linear", "--harmonics", "0"], "n_harmonics must be >= 1, got 0"),
+    ])
+    def test_rejects_what_a_config_rejects(self, flags, message, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = cli.main(["design", "--waveform", *flags, "--subcarriers", "336", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_rejects_unknown_waveform(self, tmp_path):
@@ -331,26 +348,46 @@ class TestAnalyze:
         digest = hashlib.sha256(rows.encode()).hexdigest()
         assert digest == self.PINNED_SNRPOST[waveform, repetition, grid]
 
-    # sha256 of the data rows (below the comment header) for sinusoidal
-    # shaping and 300 PSD frames, as written by the frame-by-frame loop.
+    @staticmethod
+    def _rows(mode, repetition, tmp_path):
+        """Data rows (below the comment header) for sinusoidal shaping, 300 PSD frames."""
+        cfg = tmp_path / "pin.yaml"
+        cfg.write_text(BASE_CONFIG.format(waveform="sinusoidal").replace(
+            "repetition: 1", f"repetition: {repetition}") + "analysis:\n  psd_frames: 300\n")
+        out = tmp_path / "out.csv"
+        assert cli.main(["analyze", "--config", str(cfg), "--mode", mode, "--out", str(out)]) == 0
+        return [ln for ln in out.read_text().splitlines(keepends=True) if not ln.startswith("#")]
+
+    # sha256 of the data rows, as written by the frame-by-frame loop.
     PINNED_ROWS = {
-        ("psd", 1): "c95f24d5b58a079c02994d5d0d3d48f2175def44ac75ad9faa7bc7ef7bc16e48",
-        ("psd", 4): "5bf6d9dcc9bef32f15ae19025bdba619f4c45dca17f50dda9a52ba250101d0a0",
+        ("psd", 1): "085403f4a319523185a849775a53d01d03e249db144c9b64262372751a40de08",
+        ("psd", 4): "fc256abbee7de31c3be36ca446ce8181f72bfcd6f6d21745f8256c6736225925",
         ("papr", 1): "b37210d2418c92e462d22cee1480a387e1d53be58c437e2b1292036220d16db1",
         ("papr", 4): "4e755da11ba0140a62044f55f237b9ead2b3154612d4a355075098f6ebd83bdb",
     }
 
     @pytest.mark.parametrize("mode, repetition", sorted(PINNED_ROWS))
     def test_psd_and_papr_rows_pinned(self, mode, repetition, tmp_path):
-        cfg = tmp_path / "pin.yaml"
-        cfg.write_text(BASE_CONFIG.format(waveform="sinusoidal").replace(
-            "repetition: 1", f"repetition: {repetition}") + "analysis:\n  psd_frames: 300\n")
-        out = tmp_path / "out.csv"
-        assert cli.main(["analyze", "--config", str(cfg), "--mode", mode, "--out", str(out)]) == 0
-        rows = "".join(ln for ln in out.read_text().splitlines(keepends=True)
-                       if not ln.startswith("#"))
+        rows = "".join(self._rows(mode, repetition, tmp_path))
         digest = hashlib.sha256(rows.encode()).hexdigest()
         assert digest == self.PINNED_ROWS[mode, repetition]
+
+    # sha256 of the PSD's 336 in-band rows alone.  The guard rows hold
+    # IFFT -> FFT roundoff below -300 dB, which any rescaling of the
+    # transforms moves; the in-band rows must not move.
+    PINNED_PSD_IN_BAND = {
+        1: "97a0135cb92c677250091aefc4cf979682fe1121baea140a6f03d12850b9253b",
+        4: "23a6c830e4c5bacce6fa49d8984d968362a7651a98769b27e80b3cb40489e4eb",
+    }
+
+    @pytest.mark.parametrize("repetition", sorted(PINNED_PSD_IN_BAND))
+    def test_psd_in_band_rows_pinned(self, repetition, tmp_path):
+        low, high = fdss.band_limits(336)
+        rows = self._rows("psd", repetition, tmp_path)[1:]
+        in_band = [ln for ln in rows if low <= int(ln.split(",")[0]) <= high]
+        assert len(in_band) == 336
+        digest = hashlib.sha256("".join(in_band).encode()).hexdigest()
+        assert digest == self.PINNED_PSD_IN_BAND[repetition]
 
     def test_psd_memory_does_not_grow_with_frames(self, tmp_path):
         peaks = {}

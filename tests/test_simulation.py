@@ -65,6 +65,8 @@ class TestLinkConfig:
         ("ebn0_grid_db", (4.0, float("nan"))),
         ("ebn0_grid_db", (float("inf"),)),
         ("ebn0_grid_db", (float("-inf"), 4.0)),
+        ("ebn0_grid_db", (4000.0,)),  # rho overflows to inf
+        ("ebn0_grid_db", (4.0, -4000.0)),  # rho underflows to 0
         ("seed", -1),
     ])
     def test_rejection_names_the_field(self, field, value):

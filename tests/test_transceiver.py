@@ -71,16 +71,16 @@ class TestQpsk:
 class TestModulate:
     def test_impulse_frame_flat_spectrum(self):
         tx = modulate(single_symbol_frame(0), ALL_FILTERS["plain"], CFG)
-        np.testing.assert_allclose(tx.freq_symbols, np.ones(M), atol=1e-12)
+        np.testing.assert_allclose(tx.band, np.full(M, 1 / np.sqrt(M)), atol=1e-12)
         body = tx.samples[CFG.cp_len:]
         assert np.argmax(np.abs(body)) == 0  # Dirichlet pulse at n = 0
 
     def test_frequency_domain_circular_shift_law(self):
         filt = ALL_FILTERS["sinusoidal"]
-        ref = modulate(single_symbol_frame(0), filt, CFG).freq_symbols
+        ref = modulate(single_symbol_frame(0), filt, CFG).band
         ks = filt.subcarriers
         for m in (1, 75, 200):
-            got = modulate(single_symbol_frame(m), filt, CFG).freq_symbols
+            got = modulate(single_symbol_frame(m), filt, CFG).band
             expect = ref * np.exp(-2j * np.pi * ks * m / M)
             assert np.max(np.abs(got - expect)) < 1e-12 * np.max(np.abs(ref))
 
@@ -131,14 +131,16 @@ class TestModulate:
         tx = modulate(frame, ALL_FILTERS["plain"], cfg)
         ks = ALL_FILTERS["plain"].subcarriers
         natural = np.empty(M, dtype=complex)
-        natural[ks % M] = tx.freq_symbols  # plain filter: pure spread spectrum
+        natural[ks % M] = tx.band  # plain filter: pure spread spectrum
         copies = natural.reshape(4, M // 4)
         for u in (1, 2, 3):
             np.testing.assert_array_equal(copies[u], copies[0])  # exact
-        # and the tiled construction equals the M-point DFT of the sparse input
+        # and the tiled construction equals the M-point DFT of the sparse input,
+        # at unit power: the sparse input holds the S = M/R symbols' energy
         sparse = np.zeros(M, dtype=complex)
         sparse[:: cfg.repetition] = frame.symbols
-        np.testing.assert_allclose(natural, np.fft.fft(sparse), rtol=1e-11, atol=1e-9)
+        expect = np.fft.fft(sparse) / np.sqrt(cfg.symbols_per_frame)
+        np.testing.assert_allclose(natural, expect, rtol=1e-11, atol=1e-9)
 
     def test_mismatched_filter_rejected(self):
         with pytest.raises(ValueError):
@@ -301,7 +303,7 @@ class TestBatch:
         tx = modulate(DataFrame.from_bits(bits), filt, cfg)
         singles = [modulate(DataFrame.from_bits(row), filt, cfg) for row in bits]
         np.testing.assert_array_equal(tx.samples, [t.samples for t in singles])
-        np.testing.assert_array_equal(tx.freq_symbols, [t.freq_symbols for t in singles])
+        np.testing.assert_array_equal(tx.band, [t.band for t in singles])
         noise = rng.standard_normal((2,) + tx.samples.shape)
         rx = tx.samples + 0.1 * (noise[0] + 1j * noise[1])
         parts = rng.standard_normal((2, 6, M))
@@ -328,7 +330,7 @@ def both_paths(symbols, filt, cfg, h, noise, noise_var):
     ``h`` is an impulse response (or None for AWGN) and ``noise`` the
     time-domain noise of every sample, CP included.  The band path adds the
     noise's share of the occupied bins at the equalizer plane,
-    (sqrt(M)/N) * DFT(noise body) on those bins.
+    sqrt(M/N) * DFT(noise body) on those bins.
     """
     n, m = cfg.idft_size, cfg.subcarriers
     bins = filt.subcarriers % n
@@ -339,7 +341,7 @@ def both_paths(symbols, filt, cfg, h, noise, noise_var):
         rx = channel.apply(rx, h)
         h_band = channel.freq_response(h, n)[..., bins]
     time = demodulate(rx + noise, h_band, filt, cfg, noise_var)
-    w = numerics.dft(noise[..., cfg.cp_len :])[..., bins] * (np.sqrt(m) / n)
+    w = numerics.dft(noise[..., cfg.cp_len :])[..., bins] * np.sqrt(m / n)
     band = equalize(h_band * tx.band + w, h_band, filt, cfg, noise_var)
     return time, band
 
@@ -422,8 +424,8 @@ class TestRandomNumerologies:
         filt = random_filter(rng, cfg.subcarriers)
         s = cfg.symbols_per_frame
         d = qpsk_map(rng.integers(0, 2, cfg.bits_per_frame))
-        ref = modulate(DataFrame(d), filt, cfg).freq_symbols
-        got = modulate(DataFrame(np.roll(d, shift)), filt, cfg).freq_symbols
+        ref = modulate(DataFrame(d), filt, cfg).band
+        got = modulate(DataFrame(np.roll(d, shift)), filt, cfg).band
         expect = ref * np.exp(-2j * np.pi * (filt.subcarriers * shift % s) / s)
         assert np.max(np.abs(got - expect)) < 1e-12 * np.max(np.abs(ref))
 
