@@ -15,7 +15,6 @@ file or a traceback for invalid input.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import jsonschema
@@ -130,28 +129,28 @@ def link_config_from(raw: dict) -> LinkConfig:
     lives in the dataclasses.  Invalid values, the ``snrpost`` grid's
     included, raise ``ValueError``, so no command starts on a bad config.
     """
-    snr_grid(raw)
+    frame = FrameConfig(**raw.get("frame", {}))
+    snr_grid(raw, frame.repetition)
     channel = dict(raw.get("channel", {"type": "awgn"}))
     profile = None if channel.pop("type") == "awgn" else ChannelProfile(**channel)
     sweep = {("ebn0_grid_db" if k == "ebn0_db" else k): v for k, v in raw.get("sweep", {}).items()}
     top = {k: raw[k] for k in ("waveform", "deviation", "n_harmonics") if k in raw}
-    return LinkConfig(
-        frame=FrameConfig(**raw.get("frame", {})), channel_profile=profile, **top, **sweep
-    )
+    return LinkConfig(frame=frame, channel_profile=profile, **top, **sweep)
 
 
-def snr_grid(raw: dict) -> tuple[list, np.ndarray]:
+def snr_grid(raw: dict, repetition: int) -> tuple[list, np.ndarray]:
     """The ``analyze --mode snrpost`` grid: values in dB and linear SNRs.
 
-    Raises ``ValueError`` naming ``snr_db`` unless every value gives a
-    finite, positive linear SNR.
+    Raises ``ValueError`` naming ``snr_db`` unless ``analysis.usable_snr``
+    admits every linear SNR at the frame's repetition factor.
     """
     grid_db = raw.get("analysis", {}).get("snr_db", list(np.arange(-10.0, 31.0, 2.0)))
-    snr = np.array([simulation.db_to_linear(s) for s in grid_db])
-    bad = [s for s, v in zip(grid_db, snr) if not (math.isfinite(v) and v > 0)]
+    snr = [simulation.db_to_linear(s) for s in grid_db]
+    bad = [s for s, v in zip(grid_db, snr) if not analysis.usable_snr(v, repetition)]
     if bad:
-        raise ValueError(f"analysis/snr_db values {bad} do not give finite positive SNRs")
-    return grid_db, snr
+        raise ValueError(f"analysis/snr_db values {bad} do not give an SNR s with s and R/s"
+                         f" finite and positive (R = {repetition})")
+    return grid_db, np.array(snr)
 
 
 def _echo_header(raw: dict) -> str:
@@ -165,7 +164,7 @@ def cmd_design(args) -> int:
     ratio = filt.magnitude_ratio()
     print(f"wrote {args.out}: {filt.m} coefficients, k = {filt.l_down}..{filt.l_up}")
     print(f"truncation loss: {filt.truncation_loss:.6e}")
-    print(f"max/min |c_k|: {ratio:.6g}" if np.isfinite(ratio) else "max/min |c_k|: inf")
+    print(f"max/min |c_k|: {ratio:.6g}")
     return EXIT_OK
 
 
@@ -235,7 +234,7 @@ def cmd_analyze(args) -> int:
     ana = raw.get("analysis", {})
     header = _echo_header(raw)
     if args.mode == "snrpost":
-        grid_db, snr = snr_grid(raw)
+        grid_db, snr = snr_grid(raw, frame.repetition)
         rep = analysis.snr_post(filt, snr, frame.repetition)
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(header)

@@ -48,14 +48,13 @@ def fresnel(x):
 
     C(x) = int_0^x cos(pi u^2/2) du, S(x) = int_0^x sin(pi u^2/2) du.
     Both are odd in x, exactly as computed.  A scalar argument gives a
-    pair of floats, an array argument a pair of arrays of its shape.
+    pair of floats (``numpy.float64``), an array argument a pair of arrays
+    of its shape.
     """
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("fresnel argument must be finite")
     s, c = _special.fresnel(arr)
-    if arr.ndim == 0:
-        return float(c), float(s)
     return c, s
 
 

@@ -95,11 +95,12 @@ class LinkConfig:
     def __post_init__(self):
         if not self.ebn0_grid_db:
             raise ValueError("ebn0_grid_db (config sweep/ebn0_db) must be nonempty")
-        rho = [(e, ebn0_to_subcarrier_snr(e, self.frame)) for e in self.ebn0_grid_db]
-        bad = [e for e, r in rho if not (0 < r < math.inf and 1 / r < math.inf)]  # NaN too
+        r = self.frame.repetition
+        bad = [e for e in self.ebn0_grid_db
+               if not analysis.usable_snr(r * ebn0_to_subcarrier_snr(e, self.frame), r)]
         if bad:
-            raise ValueError(f"ebn0_grid_db (config sweep/ebn0_db) values {bad} do not give"
-                             " finite positive SNRs rho and 1/rho")
+            raise ValueError(f"ebn0_grid_db (config sweep/ebn0_db) values {bad} do not give a"
+                             f" combined SNR s = R*rho with s, R/s finite and positive (R = {r})")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.min_bits < 10_000:

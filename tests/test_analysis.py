@@ -1,9 +1,12 @@
 """Effective-SNR theory, BER law, and the PSD/spectrogram/PAPR diagnostics."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chirplink import analysis
 from chirplink.analysis import (
@@ -12,9 +15,10 @@ from chirplink.analysis import (
     snr_post,
     spectrogram,
     theoretical_ber_qpsk,
+    usable_snr,
 )
 from chirplink.fdss import design_plain
-from chirplink.simulation import design_filter
+from chirplink.simulation import WAVEFORMS, design_filter
 from chirplink.transceiver import DataFrame, FrameConfig, modulate
 from oracles import piecewise_triangle
 
@@ -42,6 +46,28 @@ def single_chirp(name, cfg=CFG):
     d = np.zeros(cfg.symbols_per_frame, dtype=complex)
     d[0] = 1.0
     return modulate(DataFrame(d), FILTERS[name], cfg).samples[cfg.cp_len :]
+
+
+def least_usable_snr(repetition):
+    """The smallest SNR that ``usable_snr`` admits at this repetition factor."""
+    s = repetition / sys.float_info.max
+    while usable_snr(math.nextafter(s, 0.0), repetition):
+        s = math.nextafter(s, 0.0)
+    while not usable_snr(s, repetition):
+        s = math.nextafter(s, math.inf)
+    return s
+
+
+@st.composite
+def designs_at_usable_snr(draw):
+    """(filter, R, snr): a random design, R dividing M, snr log-uniform over the usable range."""
+    m = draw(st.integers(2, 96))
+    filt = design_filter(draw(st.sampled_from(WAVEFORMS)), draw(st.floats(0.05, 1.0)) * m, m)
+    r = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+    lo, hi = least_usable_snr(r), sys.float_info.max
+    u = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))  # both ends often
+    log_snr = math.log(lo) + u * (math.log(hi) - math.log(lo))
+    return filt, r, lo if u == 0 else hi if u == 1 else min(hi, max(lo, math.exp(log_snr)))
 
 
 class TestSnrPost:
@@ -95,12 +121,16 @@ class TestSnrPost:
         for bad in (np.array([1.0, 0.0]), np.array([1.0, np.inf]), np.array([[np.nan]])):
             with pytest.raises(ValueError):
                 snr_post(FILTERS["plain"], bad, 1)
+        for bad in (1e-308, np.array([1.0, 1e-308])):  # R/snr overflows at R = 4
+            with pytest.raises(ValueError, match="repetition/snr"):
+                snr_post(FILTERS["plain"], bad, 4)
 
     @pytest.mark.parametrize("name", list(FILTERS))
     @pytest.mark.parametrize("repetition", [1, 4])
     def test_array_equals_scalar_calls(self, name, repetition):
-        # the first three underflow alpha to 0 (snr_post = 0); the last three
-        # saturate (alpha = 1, snr_post = inf) for the flat filter
+        # the first three underflow alpha = beta^2 to 0 while snr_post stays
+        # positive; the last three saturate (beta = 1, snr_post = inf) for
+        # the flat filter
         snr = np.concatenate([[1e-300, 1e-250, 1e-200],
                               10.0 ** (np.linspace(-30.0, 60.0, 240) / 10.0), [1e17, 1e20, 1e300]])
         report = snr_post(FILTERS[name], snr.reshape(3, -1), repetition)
@@ -108,12 +138,43 @@ class TestSnrPost:
         singles = [snr_post(FILTERS[name], float(s), repetition) for s in snr]
         np.testing.assert_array_equal(report.alpha_mmse.ravel(), [r.alpha_mmse for r in singles])
         np.testing.assert_array_equal(report.snr_post.ravel(), [r.snr_post for r in singles])
+        assert (report.snr_post > 0).all()
         if name == "plain":
             assert np.isinf(report.snr_post.ravel()[-3:]).all()
 
     def test_scalar_gives_floats(self):
         report = snr_post(FILTERS["sinusoidal"], np.float64(10.0), 1)
         assert type(report.alpha_mmse) is float and type(report.snr_post) is float
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=designs_at_usable_snr())
+    def test_usable_snr_gives_positive_snr_post(self, case):
+        # filterwarnings = error: an overflow or a divide-by-zero fails here too
+        filt, r, snr = case
+        single = snr_post(filt, snr, r)
+        report = snr_post(filt, np.array([snr]), r)
+        assert single.snr_post > 0  # inf where beta rounds to 1
+        assert 0 <= single.alpha_mmse <= 1
+        assert report.snr_post[0] == single.snr_post
+        assert report.alpha_mmse[0] == single.alpha_mmse
+
+
+class TestUsableSnr:
+    """Both sides of each edge of the one SNR rule: snr and R/snr finite and positive."""
+
+    @pytest.mark.parametrize("repetition", [1, 2, 4, 8])
+    def test_edges(self, repetition):
+        lo = least_usable_snr(repetition)
+        assert repetition / lo <= sys.float_info.max
+        assert not usable_snr(math.nextafter(lo, 0.0), repetition)  # R/snr overflows
+        assert usable_snr(sys.float_info.max, repetition)
+        for bad in (math.inf, math.nan, 0.0, -1.0, 5e-324):
+            assert not usable_snr(bad, repetition)
+
+    def test_numpy_float_needs_no_warning(self):
+        # a numpy float64 R/snr would warn on overflow; the rule converts first
+        assert not usable_snr(np.float64(1e-308), 4)
+        assert usable_snr(np.float64(1e-308), 1)
 
 
 class TestTheoreticalBer:

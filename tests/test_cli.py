@@ -1,6 +1,7 @@
 """Command-line surface: flags, config validation, exit codes, reproducibility."""
 
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -67,6 +68,9 @@ INVALID_CONFIGS = {
     # finite Eb/N0 whose rho overflows to inf, or underflows to 0
     "huge_ebn0": ("ebn0_db", BASE_CONFIG.replace("ebn0_db: [5.0, 6.0]", "ebn0_db: [4000]")),
     "tiny_ebn0": ("ebn0_db", BASE_CONFIG.replace("ebn0_db: [5.0, 6.0]", "ebn0_db: [-4000]")),
+    # rho is finite, the combined SNR R*rho that the theory takes is not
+    "huge_combined_ebn0": ("ebn0_db", BASE_CONFIG.replace("repetition: 1", "repetition: 4")
+                           .replace("ebn0_db: [5.0, 6.0]", "ebn0_db: [3082]")),
     "min_bits_below_floor": ("min_bits", BASE_CONFIG.replace("min_bits: 15000", "min_bits: 5000")),
     "zero_min_errors": ("min_errors", BASE_CONFIG.replace("min_errors: 30", "min_errors: 0")),
     "zero_max_frames": ("max_frames", BASE_CONFIG.replace("max_frames: 4000", "max_frames: 0")),
@@ -80,6 +84,11 @@ INVALID_CONFIGS.update(
     (case, ("snr_db", BASE_CONFIG + f"analysis:\n  snr_db: [0.0, {value}]\n"))
     for case, value in BAD_SNR_DB.items()
 )
+# a finite, positive SNR whose R/snr overflows at R = 4
+INVALID_CONFIGS["tiny_snr_db_r4"] = ("analysis/snr_db", BASE_CONFIG.replace(
+    "repetition: 1", "repetition: 4") + "analysis:\n  snr_db: [-3080]\n")
+BAD_SNR_GRIDS = sorted(case for case, (field, _) in INVALID_CONFIGS.items()
+                       if field.endswith("snr_db"))
 
 
 @pytest.fixture
@@ -312,7 +321,7 @@ class TestAnalyze:
         assert set(rows) == {"plain", "linear", "sinusoidal", "triangular"}
         assert float(rows["sinusoidal"][1]) < float(rows["linear"][1])
 
-    @pytest.mark.parametrize("case", sorted(BAD_SNR_DB))
+    @pytest.mark.parametrize("case", BAD_SNR_GRIDS)
     def test_bad_snr_grid_writes_nothing(self, case, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"
         cfg.write_text(INVALID_CONFIGS[case][1].replace("{waveform}", "plain"))
@@ -323,6 +332,36 @@ class TestAnalyze:
         assert err.startswith("error:") and "snr_db" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_snrpost_far_below_noise(self, tmp_path, capsys):
+        # beta = 1e-160: alpha = beta^2 is subnormal, SNR_post = beta/(1 - beta) is not
+        cfg = tmp_path / "low.yaml"
+        cfg.write_text(BASE_CONFIG.format(waveform="plain") + "analysis:\n  snr_db: [-1600]\n")
+        out = tmp_path / "low.csv"
+        assert cli.main(["analyze", "--config", str(cfg), "--mode", "snrpost",
+                         "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_text().splitlines()[-1] == "-1600.000000,-1600.000000,9.999888672e-321"
+
+    # both sides of each edge of the rule: snr and R/snr finite and positive
+    @pytest.mark.parametrize("repetition, snr_db, usable", [
+        (1, -3082, True), (1, -3083, False), (4, -3076, True), (4, -3077, False),
+        (4, 3082, True), (4, 3083, False),
+    ])
+    def test_snr_grid_edges(self, repetition, snr_db, usable, tmp_path, capsys):
+        cfg = tmp_path / "edge.yaml"
+        cfg.write_text(BASE_CONFIG.format(waveform="plain").replace(
+            "repetition: 1", f"repetition: {repetition}") + f"analysis:\n  snr_db: [{snr_db}]\n")
+        out = tmp_path / "edge.csv"
+        rc = cli.main(["analyze", "--config", str(cfg), "--mode", "snrpost", "--out", str(out)])
+        err = capsys.readouterr().err
+        if usable:
+            assert rc == 0 and err == ""
+            snr_db_out, post_db, _alpha = out.read_text().splitlines()[-1].split(",")
+            assert float(snr_db_out) == snr_db
+            assert float(post_db) > -math.inf  # no -inf or nan; inf where beta rounds to 1
+        else:
+            assert rc == 1 and "analysis/snr_db" in err and not out.exists()
 
     # sha256 of the snrpost data rows as a loop of scalar snr_post calls wrote
     # them (default grid, and an explicit grid with YAML ints).

@@ -152,7 +152,7 @@ class TestFresnel:
 
     def test_scalar_gives_floats(self):
         c, s = fresnel(np.float64(1.0))
-        assert type(c) is float and type(s) is float
+        assert isinstance(c, float) and isinstance(s, float)
 
 
 class TestDft:

@@ -73,6 +73,21 @@ class TestLinkConfig:
         with pytest.raises(ValueError, match=field):
             LinkConfig(**{field: value})
 
+    # both sides of each edge of the combined SNR R*rho = 2*Eb/N0 and of R/(R*rho)
+    @pytest.mark.parametrize("repetition, ebn0, usable", [
+        (4, 3079.0, True), (4, 3080.0, False),  # R*rho overflows while rho does not
+        (4, -3079.0, True), (4, -3080.0, False),
+        (1, 3079.0, True), (1, 3080.0, False),
+        (1, -3085.0, True), (1, -3086.0, False),
+    ])
+    def test_combined_snr_edges(self, repetition, ebn0, usable):
+        frame = FrameConfig(repetition=repetition)
+        if usable:
+            assert LinkConfig(frame=frame, ebn0_grid_db=(ebn0,)).ebn0_grid_db == (ebn0,)
+        else:
+            with pytest.raises(ValueError, match="ebn0_grid_db"):
+                LinkConfig(frame=frame, ebn0_grid_db=(ebn0,))
+
     @pytest.mark.parametrize("kwargs, field", [
         pytest.param({"waveform": "triangular", "n_harmonics": 5}, "n_harmonics",
                      id="slope_span_missed"),
