@@ -1,20 +1,23 @@
 """Command-line front end: filter design, synthesis, diagnostics, BER sweeps.
 
-Everything is emitted as CSV with a config-echo comment header so runs are
-reproducible byte for byte from (config file, seed).  Exit codes: 0 on
-success, 1 on usage/config errors, 2 when any BER point under-converged.
+Every output is CSV; each config-driven one starts with the one config echo,
+``_echo_header``, and ``design`` writes rows only.  ``_write`` is the one
+place that writes a file: a command formats all its outputs, then one
+``_write`` call writes all of them or none.  Exit codes: 0 on success, 1 on
+usage/config errors, 2 when any BER point under-converged.
 
 The config schema checks only the file's shape: its keys, nesting and YAML
 types.  Every range and cross-field rule belongs to the dataclass that
 holds the field, which raises ``ValueError`` naming it.  ``main`` is the one
 place that turns a ``ValueError`` (``UsageError`` is one) into an
 ``error: ...`` message on stderr and exit code 1, so no command writes a
-file or a traceback for invalid input.
+file or a traceback for invalid input or an unwritable output path.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import jsonschema
@@ -158,9 +161,26 @@ def _echo_header(raw: dict) -> str:
     return f"# chirplink {__version__}\n# config: {echo}\n"
 
 
+def _write(outputs: dict) -> None:
+    """Write each ``{path: text}`` output, or none: an ``OSError`` is a ``UsageError``."""
+    written = []
+    try:
+        for path, text in outputs.items():
+            with open(path, "w", encoding="ascii") as fh:
+                written.append(path)
+                fh.write(text)
+    except OSError as exc:
+        for done in written:
+            os.remove(done)
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def cmd_design(args) -> int:
     filt = design_filter(args.waveform, args.deviation, args.subcarriers, args.harmonics)
-    filt.export_csv(args.out)
+    rows = ["k,re,im\n"]
+    for k, c in zip(filt.subcarriers, filt.coeffs):
+        rows.append(f"{k},{c.real:.17g},{c.imag:.17g}\n")  # 17 digits: lossless
+    _write({args.out: "".join(rows)})
     ratio = filt.magnitude_ratio()
     print(f"wrote {args.out}: {filt.m} coefficients, k = {filt.l_down}..{filt.l_up}")
     print(f"truncation loss: {filt.truncation_loss:.6e}")
@@ -189,34 +209,30 @@ def cmd_synthesize(args) -> int:
         if not 0 <= idx < len(data):
             raise UsageError(f"symbol index {idx} out of range 0..{len(data) - 1}")
         data[idx] = val
-    # both outputs are computed before either file is opened
     tx = transceiver.modulate(DataFrame(data), cfg.filter, frame)
     spec = analysis.spectrogram(tx.samples[frame.cp_len :], win_len=args.win_len, hop=args.hop)
     header = _echo_header(raw)
 
-    time_path = f"{args.out_prefix}time.csv"
-    with open(time_path, "w", encoding="ascii") as fh:
-        fh.write(header)
-        fh.write(f"# cp_len: {frame.cp_len}\n")
-        fh.write("sample,re,im\n")
-        for i, v in enumerate(tx.samples):
-            fh.write(f"{i},{v.real:.9e},{v.imag:.9e}\n")
+    time_csv = [header, f"# cp_len: {frame.cp_len}\n", "sample,re,im\n"]
+    for i, v in enumerate(tx.samples):
+        time_csv.append(f"{i},{v.real:.9e},{v.imag:.9e}\n")
 
+    spec_csv = [header, f"# win_len: {args.win_len} hop: {args.hop}\n"]
+    spec_csv.append("start," + ",".join(f"bin{i}" for i in range(spec.shape[1])) + "\n")
+    for i, row in enumerate(spec):
+        spec_csv.append(f"{i * args.hop}," + ",".join(f"{v:.4f}" for v in row) + "\n")
+
+    time_path = f"{args.out_prefix}time.csv"
     spec_path = f"{args.out_prefix}spectrogram.csv"
-    with open(spec_path, "w", encoding="ascii") as fh:
-        fh.write(header)
-        fh.write(f"# win_len: {args.win_len} hop: {args.hop}\n")
-        fh.write("start," + ",".join(f"bin{i}" for i in range(spec.shape[1])) + "\n")
-        for i, row in enumerate(spec):
-            fh.write(f"{i * args.hop}," + ",".join(f"{v:.4f}" for v in row) + "\n")
+    _write({time_path: "".join(time_csv), spec_path: "".join(spec_csv)})
     print(f"wrote {time_path} and {spec_path}")
     return EXIT_OK
 
 
 def cmd_ber(args) -> int:
-    cfg = link_config_from(load_config(args.config))
-    curve = simulation.run_ber_sweep(cfg)
-    curve.to_csv(args.out)
+    raw = load_config(args.config)
+    curve = simulation.run_ber_sweep(link_config_from(raw))
+    _write({args.out: _echo_header(raw) + curve.csv_text()})
     for p in curve.points:
         tag = "" if p.converged else "  UNDER-CONVERGED"
         print(
@@ -232,17 +248,13 @@ def cmd_analyze(args) -> int:
     cfg = link_config_from(raw)
     filt, frame = cfg.filter, cfg.frame
     ana = raw.get("analysis", {})
-    header = _echo_header(raw)
     if args.mode == "snrpost":
         grid_db, snr = snr_grid(raw, frame.repetition)
         rep = analysis.snr_post(filt, snr, frame.repetition)
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(header)
-            fh.write(f"# repetition: {frame.repetition}\n")
-            fh.write("snr_db,snr_post_db,alpha_mmse\n")
-            post_db = 10.0 * np.log10(rep.snr_post)  # inf where saturated
-            for s, p, alpha in zip(grid_db, post_db, rep.alpha_mmse):
-                fh.write(f"{s:.6f},{p:.6f},{alpha:.9e}\n")
+        post_db = 10.0 * np.log10(rep.snr_post)  # inf where saturated
+        lines = [f"# repetition: {frame.repetition}\n", "snr_db,snr_post_db,alpha_mmse\n"]
+        for s, p, alpha in zip(grid_db, post_db, rep.alpha_mmse):
+            lines.append(f"{s:.6f},{p:.6f},{alpha:.9e}\n")
     elif args.mode == "psd":
         n_frames = int(ana.get("psd_frames", 1000))
         rng = np.random.default_rng(cfg.seed)
@@ -255,29 +267,22 @@ def cmd_analyze(args) -> int:
                 total += power  # frame by frame, the order of one mean over all frames
         shift = np.fft.fftshift(analysis.in_band_db(total / n_frames))
         freqs = np.fft.fftshift(np.fft.fftfreq(frame.idft_size) * frame.idft_size).astype(int)
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(header)
-            fh.write(f"# frames: {n_frames}\n")
-            fh.write("subcarrier,psd_db\n")
-            for k, v in zip(freqs, shift):
-                fh.write(f"{k},{v:.6f}\n")
+        lines = [f"# frames: {n_frames}\n", "subcarrier,psd_db\n"]
+        for k, v in zip(freqs, shift):
+            lines.append(f"{k},{v:.6f}\n")
     elif args.mode == "papr":
-        filters = {  # all four designed before the file is opened
-            wf: design_filter(wf, cfg.deviation, frame.subcarriers, cfg.n_harmonics)
-            for wf in WAVEFORMS
-        }
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(header)
-            fh.write("waveform,single_chirp_papr_db,random_frame_papr_db\n")
-            for wf, filt in filters.items():
-                d = np.zeros(frame.symbols_per_frame, dtype=complex)
-                d[0] = 1.0
-                single = transceiver.modulate(DataFrame(d), filt, frame)
-                single_papr = analysis.papr(single.samples[frame.cp_len :])
-                bits = np.random.default_rng(cfg.seed).integers(0, 2, (100, frame.bits_per_frame))
-                tx = transceiver.modulate(DataFrame.from_bits(bits), filt, frame)
-                vals = [analysis.papr(body) for body in tx.samples[:, frame.cp_len :]]
-                fh.write(f"{wf},{single_papr:.4f},{np.mean(vals):.4f}\n")
+        lines = ["waveform,single_chirp_papr_db,random_frame_papr_db\n"]
+        for wf in WAVEFORMS:
+            filt = design_filter(wf, cfg.deviation, frame.subcarriers, cfg.n_harmonics)
+            d = np.zeros(frame.symbols_per_frame, dtype=complex)
+            d[0] = 1.0
+            single = transceiver.modulate(DataFrame(d), filt, frame)
+            single_papr = analysis.papr(single.samples[frame.cp_len :])
+            bits = np.random.default_rng(cfg.seed).integers(0, 2, (100, frame.bits_per_frame))
+            tx = transceiver.modulate(DataFrame.from_bits(bits), filt, frame)
+            vals = [analysis.papr(body) for body in tx.samples[:, frame.cp_len :]]
+            lines.append(f"{wf},{single_papr:.4f},{np.mean(vals):.4f}\n")
+    _write({args.out: _echo_header(raw) + "".join(lines)})
     print(f"wrote {args.out}")
     return EXIT_OK
 

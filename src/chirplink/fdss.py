@@ -99,13 +99,6 @@ class FdssFilter:
             return np.inf
         return float(mags.max() / lo)
 
-    def export_csv(self, path) -> None:
-        """Write ``k,re,im`` rows at 17 significant digits (lossless)."""
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("k,re,im\n")
-            for k, c in zip(self.subcarriers, self.coeffs):
-                fh.write(f"{k},{c.real:.17g},{c.imag:.17g}\n")
-
 
 def design_plain(m: int) -> FdssFilter:
     """All-ones filter: plain DFT-spread-OFDM, no spectral shaping."""

@@ -29,7 +29,6 @@ the counts are those of a frame-by-frame loop over the same stream.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -37,7 +36,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import __version__
 from . import analysis, channel, fdss, transceiver
 from .transceiver import DataFrame, FrameConfig
 
@@ -135,53 +133,29 @@ class BerPoint:
 
 @dataclass(frozen=True)
 class BerCurve:
-    config: LinkConfig
     points: tuple
 
     @property
     def under_converged(self) -> tuple:
         return tuple(p for p in self.points if not p.converged)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(self.csv_text())
-
     def csv_text(self) -> str:
-        """Deterministic CSV body with a config-echo comment header."""
-        cfg = self.config
-        buf = io.StringIO()
-        buf.write(f"# chirplink {__version__}\n")
-        buf.write(f"# waveform: {cfg.waveform}\n")
-        buf.write(f"# deviation: {cfg.deviation:g}\n")
-        f = cfg.frame
-        buf.write(
-            f"# frame: subcarriers={f.subcarriers} idft_size={f.idft_size}"
-            f" cp_len={f.cp_len} repetition={f.repetition} constellation=qpsk\n"
-        )
-        if cfg.channel_profile is None:
-            buf.write("# channel: awgn\n")
-        else:
-            ch = cfg.channel_profile
-            buf.write(
-                f"# channel: multipath powers_db={list(ch.tap_powers_db)}"
-                f" rician_k={ch.rician_k:g} delays={list(ch.tap_delays)}\n"
-            )
-        buf.write(f"# seed: {cfg.seed}\n")
-        buf.write(
-            f"# stopping: min_bits={cfg.min_bits} min_errors={cfg.min_errors}"
-            f" max_frames={cfg.max_frames}\n"
-        )
-        buf.write("# snr convention: rho = (2/R) * Eb/N0 per subcarrier;"
-                  " theory evaluated at R*rho\n")
-        flagged = [f"{p.ebn0_db:g}" for p in self.under_converged]
-        buf.write(f"# under_converged_ebn0_db: {','.join(flagged) if flagged else 'none'}\n")
-        buf.write("ebn0_db,snr_db,sim_ber,theory_ber,bits,frames\n")
+        """Deterministic CSV: SNR convention and under-converged points, then the rows.
+
+        It carries no config echo; ``chirplink ber`` puts the config's above it.
+        """
+        flagged = ",".join(f"{p.ebn0_db:g}" for p in self.under_converged) or "none"
+        lines = [
+            "# snr convention: rho = (2/R) * Eb/N0 per subcarrier; theory evaluated at R*rho\n",
+            f"# under_converged_ebn0_db: {flagged}\n",
+            "ebn0_db,snr_db,sim_ber,theory_ber,bits,frames\n",
+        ]
         for p in self.points:
-            buf.write(
+            lines.append(
                 f"{p.ebn0_db:.6f},{p.snr_db:.6f},{p.simulated_ber:.9e},"
                 f"{p.theoretical_ber:.9e},{p.bit_count},{p.frame_count}\n"
             )
-        return buf.getvalue()
+        return "".join(lines)
 
 
 def db_to_linear(db: float) -> float:
@@ -281,7 +255,7 @@ def run_ber_sweep(cfg: LinkConfig) -> BerCurve:
         _simulate_point(cfg, filt, ebn0, np.random.default_rng(stream))
         for ebn0, stream in zip(cfg.ebn0_grid_db, streams)
     )
-    return BerCurve(cfg, points)
+    return BerCurve(points)
 
 
 def ebn0_at_ber(

@@ -22,7 +22,7 @@ each row of a block is bit-identical to the single-frame call on it.
 Conventions fixed here because they matter for reproducibility:
 
 * Subcarrier-to-bin alignment is natural FFT order with negative indices
-  wrapped modulo the transform size (k <-> k mod M and k mod N).
+  wrapped modulo the transform size (k <-> k mod M/R and k mod N).
 * Every DFT is unitary.  The one other scale is sqrt(N/M) on the IDFT
   (sqrt(M/N) after the receiver DFT): it gives unit-energy data unit
   average sample power for every unit-average-power filter and any
@@ -157,10 +157,10 @@ def qpsk_demap(symbols) -> np.ndarray:
 def modulate(data: DataFrame, filt: FdssFilter, cfg: FrameConfig) -> TxSignal:
     """Shape the spectrum of a data frame; the CP-prefixed symbols follow on demand.
 
-    The spread spectrum is R tiled copies of the unitary (M/R)-point DFT
-    of the data, so the repetition structure is exact and every copy has
-    unit average power.  The returned ``TxSignal`` holds the shaped band;
-    its ``samples`` are synthesized when read.
+    Subcarrier k carries bin k mod (M/R) of the unitary (M/R)-point data
+    DFT, the rule that ``equalize``'s roll by l_down mod (M/R) inverts, so
+    the R copies are exact and each has unit average power.  The returned
+    ``TxSignal`` holds the shaped band; its ``samples`` are synthesized when read.
     """
     if filt.m != cfg.subcarriers:
         raise ValueError("filter band does not match the frame configuration")
@@ -171,8 +171,8 @@ def modulate(data: DataFrame, filt: FdssFilter, cfg: FrameConfig) -> TxSignal:
         )
     if not np.all(np.isfinite(d)):
         raise ValueError("data symbols must be finite")
-    spread = np.tile(numerics.dft(d), cfg.repetition)
-    return TxSignal(filt.coeffs * spread[..., filt.subcarriers % cfg.subcarriers], cfg)
+    spread = numerics.dft(d)[..., filt.subcarriers % cfg.symbols_per_frame]
+    return TxSignal(filt.coeffs * spread, cfg)
 
 
 def demodulate(

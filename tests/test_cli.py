@@ -7,9 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chirplink import cli, fdss
+from chirplink import __version__, analysis, cli, fdss
 from chirplink.channel import ChannelProfile
-from chirplink.simulation import LinkConfig, design_filter
+from chirplink.simulation import WAVEFORMS, LinkConfig, design_filter
 
 BASE_CONFIG = """\
 waveform: {waveform}
@@ -119,11 +119,13 @@ class TestDesign:
         rows = out.read_text().splitlines()[1:]
         assert rows == [f"{k},1,0" for k in range(-3, 5)]
 
-    def test_cli_matches_library(self, tmp_path):
-        out = tmp_path / "tri.csv"
-        assert cli.main(["design", "--waveform", "triangular", "--deviation", "318",
+    @pytest.mark.parametrize("waveform", WAVEFORMS)
+    def test_cli_matches_library(self, waveform, tmp_path):
+        # 17 significant digits read back every coefficient bit for bit
+        out = tmp_path / "filter.csv"
+        assert cli.main(["design", "--waveform", waveform, "--deviation", "318",
                          "--subcarriers", "336", "--out", str(out)]) == 0
-        lib = design_filter("triangular", 318.0, 336)
+        lib = design_filter(waveform, 318.0, 336)
         back = np.loadtxt(out, delimiter=",", skiprows=1)
         np.testing.assert_array_equal(back[:, 0], lib.subcarriers)
         np.testing.assert_array_equal(back[:, 1] + 1j * back[:, 2], lib.coeffs)
@@ -456,6 +458,96 @@ class TestAnalyze:
         rc = cli.main(["analyze", "--config", str(plain_config),
                        "--mode", "wigner", "--out", str(tmp_path / "x.csv")])
         assert rc == 1
+
+
+class TestOutputs:
+    """One config echo on every config-driven output; all of a command's files or none."""
+
+    ECHO = ("# config: {channel: {type: awgn}, deviation: 318.0, frame: {cp_len: 96,"
+            " idft_size: 512, repetition: 1, subcarriers: 336}, sweep: {ebn0_db: [5.0, 6.0],"
+            " max_frames: 4000, min_bits: 15000, min_errors: 30, seed: 11}, waveform: plain}")
+
+    def test_every_output_carries_the_one_echo(self, plain_config, tmp_path):
+        config = ["--config", str(plain_config)]
+        assert cli.main(["ber", *config, "--out", str(tmp_path / "ber.csv")]) == 0
+        for mode in ("snrpost", "psd", "papr"):
+            assert cli.main(["analyze", *config, "--mode", mode,
+                             "--out", str(tmp_path / f"{mode}.csv")]) == 0
+        assert cli.main(["synthesize", *config, "--data", "0=1",
+                         "--out-prefix", str(tmp_path / "s_")]) == 0
+        outputs = sorted(tmp_path.glob("*.csv"))
+        assert len(outputs) == 6
+        for path in outputs:
+            assert path.read_text().splitlines()[:2] == [f"# chirplink {__version__}", self.ECHO], path
+
+    @staticmethod
+    def _ber_echo(text, tmp_path):
+        cfg, out = tmp_path / "run.yaml", tmp_path / "ber.csv"
+        cfg.write_text(text)
+        assert cli.main(["ber", "--config", str(cfg), "--out", str(out)]) == 0
+        return out.read_text().splitlines()[1]
+
+    # pairs of configs that differ in one value the sweep reads
+    @pytest.mark.parametrize("a, b", [
+        (BASE_CONFIG.format(waveform="triangular") + "n_harmonics: 41\n",
+         BASE_CONFIG.format(waveform="triangular") + "n_harmonics: 64\n"),
+        (BASE_CONFIG.format(waveform="plain"),
+         BASE_CONFIG.format(waveform="plain").replace("deviation: 318.0", "deviation: 318.0004")),
+    ], ids=["n_harmonics", "deviation_7th_digit"])
+    def test_ber_echo_is_lossless(self, a, b, tmp_path):
+        echo_a, echo_b = self._ber_echo(a, tmp_path), self._ber_echo(b, tmp_path)
+        assert echo_a.startswith("# config: ") and echo_b.startswith("# config: ")
+        assert echo_a != echo_b
+
+    # each command's flags up to the output path, which goes in a missing directory
+    COMMANDS = {
+        "design": ["design", "--waveform", "plain", "--subcarriers", "8", "--out"],
+        "ber": ["ber", "--out"],
+        "snrpost": ["analyze", "--mode", "snrpost", "--out"],
+        "psd": ["analyze", "--mode", "psd", "--out"],
+        "papr": ["analyze", "--mode", "papr", "--out"],
+        "synthesize": ["synthesize", "--data", "0=1", "--out-prefix"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_unwritable_out_is_a_usage_error(self, command, plain_config, tmp_path, capsys):
+        out = tmp_path / "missing" / "x_"
+        args = [*self.COMMANDS[command], str(out)]
+        if command != "design":
+            args += ["--config", str(plain_config)]
+        first = f"{out}time.csv" if command == "synthesize" else out
+        assert cli.main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {first}: No such file or directory\n"
+        assert captured.out == ""
+        assert not out.parent.exists()
+
+    def test_synthesize_writes_both_files_or_neither(self, plain_config, tmp_path, capsys):
+        (tmp_path / "s_spectrogram.csv").mkdir()
+        rc = cli.main(["synthesize", "--config", str(plain_config), "--data", "0=1",
+                       "--out-prefix", str(tmp_path / "s_")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {tmp_path / 's_spectrogram.csv'}: Is a directory\n"
+        assert not (tmp_path / "s_time.csv").exists()
+
+    def test_papr_failing_partway_writes_nothing(self, plain_config, tmp_path, monkeypatch,
+                                                 capsys):
+        papr, calls = analysis.papr, []
+
+        def papr_failing_after_first_waveform(samples):
+            calls.append(None)
+            if len(calls) > 101:  # one single-chirp and 100 random frames per waveform
+                raise ValueError("papr failed")
+            return papr(samples)
+
+        monkeypatch.setattr(analysis, "papr", papr_failing_after_first_waveform)
+        out = tmp_path / "papr.csv"
+        rc = cli.main(["analyze", "--config", str(plain_config), "--mode", "papr",
+                       "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: papr failed\n"
+        assert not out.exists()
 
 
 class TestConfigValidation:

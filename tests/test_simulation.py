@@ -139,17 +139,17 @@ class TestSweep:
         assert curve.under_converged == (curve.points[0],)
         assert "under_converged_ebn0_db: 11" in curve.csv_text()
 
-    def test_csv_layout(self, tmp_path):
+    def test_csv_layout(self):
         cfg = LinkConfig(waveform="plain", ebn0_grid_db=(4.0,), min_bits=10_000,
                          min_errors=10, seed=5)
-        curve = run_ber_sweep(cfg)
-        path = tmp_path / "curve.csv"
-        curve.to_csv(path)
-        lines = path.read_text().splitlines()
-        header = [ln for ln in lines if not ln.startswith("#")]
+        lines = run_ber_sweep(cfg).csv_text().splitlines()
+        assert lines[:2] == [
+            "# snr convention: rho = (2/R) * Eb/N0 per subcarrier; theory evaluated at R*rho",
+            "# under_converged_ebn0_db: none",
+        ]
+        header = lines[2:]
         assert header[0] == "ebn0_db,snr_db,sim_ber,theory_ber,bits,frames"
         assert len(header) == 2
-        assert "# seed: 5" in lines
         first = header[1].split(",")
         assert float(first[0]) == 4.0
         assert float(first[1]) == pytest.approx(4.0 + 10 * np.log10(2), abs=1e-4)
