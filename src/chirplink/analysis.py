@@ -7,13 +7,13 @@ after despreading, both captured by the unbiased-MMSE relation
 
     beta = mean_k  g_k / (g_k + R/snr),   SNR_post = beta / (1 - beta),   alpha = beta^2,
 
-where g_k sums |c|^2 over the R repeated copies of bin k, folded as
-``equalize`` folds them (``transceiver._fold``).  ``snr`` is referenced at
-the combined level: for a flat filter SNR_post equals snr exactly, for any
-repetition factor (for R = 1 it is simply the per-subcarrier SNR).
-Every SNR that ``usable_snr`` admits gives 0 < beta <= 1, so SNR_post > 0.
+where g_k sums |c|^2 over the R copies of bin k (see ``snr_post``).
+``snr`` is referenced at the combined level: for a flat filter SNR_post
+equals snr exactly, for any repetition factor (for R = 1 it is simply the
+per-subcarrier SNR).  Every SNR that ``usable_snr`` admits gives
+0 < beta <= 1, so SNR_post > 0.
 
-Diagnostics: Welch-style PSD, short-time spectrogram and PAPR.
+Diagnostics: Bartlett PSD (averaged periodogram), short-time spectrogram and PAPR.
 """
 
 from __future__ import annotations
@@ -52,6 +52,8 @@ def usable_snr(snr: float, repetition: int) -> bool:
 def snr_post(filt: FdssFilter, snr, repetition: int = 1) -> SnrPostReport:
     """Post-equalization, post-despreading SNR for a shaping filter.
 
+    Over AWGN the filter is the effective channel (``equalize``'s ``gain``):
+    g_k folds |c|^2 over the R copies as ``equalize`` folds |gain|^2.
     ``snr`` is the combined-level SNR (per-subcarrier SNR times the
     repetition factor); every value must pass ``usable_snr``.  A scalar
     gives a report of floats, an array a report of arrays of its shape,

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
+import tempfile
 
 import jsonschema
 import numpy as np
@@ -162,17 +164,35 @@ def _echo_header(raw: dict) -> str:
 
 
 def _write(outputs: dict) -> None:
-    """Write each ``{path: text}`` output, or none: an ``OSError`` is a ``UsageError``."""
-    written = []
+    """Write each ``{path: text}`` output, or none: an ``OSError`` is a ``UsageError``.
+
+    Temporaries beside the targets are renamed into place once all are written,
+    so a failure leaves every existing file as it was, mode included.
+    """
+    umask = os.umask(0o077)  # read it; restrictive for the moment it is set
+    os.umask(umask)
+    staged = {}  # temporary path: target
     try:
         for path, text in outputs.items():
-            with open(path, "w", encoding="ascii") as fh:
-                written.append(path)
+            mode = 0o666 & ~umask  # what open() gives a new file
+            if os.path.exists(path):
+                with open(path, "a") as fh:  # fails where writing would: a directory, no permission
+                    mode = os.fstat(fh.fileno()).st_mode
+                    if not stat.S_ISREG(mode):  # a device or a pipe keeps nothing: write it now
+                        fh.write(text)
+                        continue
+            target = os.path.realpath(path)  # through a symlink, as open() writes
+            fd, temporary = tempfile.mkstemp(prefix=".chirplink-", dir=os.path.dirname(target))
+            staged[temporary] = target
+            with os.fdopen(fd, "w", encoding="ascii") as fh:
                 fh.write(text)
+            os.chmod(temporary, mode)
     except OSError as exc:
-        for done in written:
-            os.remove(done)
+        for temporary in staged:
+            os.remove(temporary)
         raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+    for temporary, target in staged.items():
+        os.replace(temporary, target)
 
 
 def cmd_design(args) -> int:

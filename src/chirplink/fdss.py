@@ -33,9 +33,6 @@ from . import numerics
 #: the chirp spectrum essentially inside the occupied band.
 DEFAULT_DEVIATION = 318.0
 
-#: Factors whose Bessel argument is below this act as identities and are skipped.
-HARMONIC_SKIP_EPS = 1e-8
-
 #: Bessel orders whose magnitude falls below this are cut from a harmonic factor.
 BESSEL_TAIL_EPS = 1e-12
 
@@ -270,11 +267,11 @@ def design_arbitrary(traj: ChirpTrajectory, m: int) -> FdssFilter:
     with z = (D/2) hypot(a_n, b_n) and phi = atan2(a_n, b_n): one upsampled
     Bessel coefficient sequence.  The filter is the convolution of all factor
     sequences, taken in one FFT product by :func:`numerics.convolve_full`,
-    restricted to the occupied band.  Harmonics whose z is below
-    ``HARMONIC_SKIP_EPS`` act as Kronecker deltas and are skipped.  The
-    energy lost by restricting to the band (one minus the in-band energy, by
-    Parseval) is reported as ``truncation_loss`` so callers can detect
-    overflow.
+    restricted to the occupied band.  A harmonic with z = 0 is a Kronecker
+    delta and is skipped; every other one keeps its orders down to
+    ``BESSEL_TAIL_EPS``, the one truncation.  The energy lost by restricting
+    to the band (one minus the in-band energy, by Parseval) is reported as
+    ``truncation_loss`` so callers can detect overflow.
     """
     lo, hi = band_limits(m)
     _check_deviation(traj.deviation, m)
@@ -282,7 +279,7 @@ def design_arbitrary(traj: ChirpTrajectory, m: int) -> FdssFilter:
     factors = []
     for n, (a, b) in enumerate(zip(traj.cos_coeffs, traj.sin_coeffs), start=1):
         z = half_dev * np.hypot(a, b)
-        if z >= HARMONIC_SKIP_EPS:
+        if z > 0:
             factors.append(_harmonic_factor(n, z, np.arctan2(a, b)))
     seq = numerics.convolve_full(*factors)
     phase = np.exp(1j * traj.deviation * traj.a0 / 4.0)

@@ -202,8 +202,8 @@ def _simulate_point(
     noise_scale = np.sqrt(0.5 / rho)
     report = analysis.snr_post(filt, frame.repetition * rho, frame.repetition)
     theory = analysis.theoretical_ber_qpsk(report.snr_post)
-    bins = filt.subcarriers % frame.idft_size
-    h_band = np.ones(frame.subcarriers)
+    bins = frame.bins
+    gain = filt.coeffs  # the effective channel over AWGN
 
     errors = bits_sent = frames = 0
     while frames < cfg.max_frames and (
@@ -214,10 +214,10 @@ def _simulate_point(
         rx = transceiver.modulate(DataFrame.from_bits(bits), filt, frame).band
         if h is not None:
             h_band = channel.freq_response(h, frame.idft_size)[:, bins]
-            rx = h_band * rx
+            rx, gain = h_band * rx, h_band * filt.coeffs
         rx.real += noise_scale * noise[0]  # rx is a fresh array
         rx.imag += noise_scale * noise[1]
-        symbols = transceiver.equalize(rx, h_band, filt, frame, 1.0 / rho)
+        symbols = transceiver.equalize(rx, gain, frame, 1.0 / rho)
         frame_errors = np.sum(transceiver.qpsk_demap(symbols) != bits, axis=1)
         # Count frames up to the first one that meets both targets.
         cum_errors = errors + np.cumsum(frame_errors)

@@ -1,14 +1,14 @@
 """DFT-spread-OFDM modulator and single-tap MMSE frequency-domain receiver.
 
-Transmit chain: map QPSK symbols onto every R-th input of an M-point DFT,
-weight the DFT output with the shaping filter, place the M shaped values
-on an N-point grid (natural FFT order: subcarrier k sits at bin k mod N,
+Transmit chain: (M/R)-point DFT of the QPSK symbols, subcarrier k takes
+bin k mod M/R times its shaping-filter weight, the M shaped values go on
+an N-point grid (natural FFT order: subcarrier k sits at bin k mod N,
 guard bins zero), N-point IDFT, prepend a cyclic prefix.
 
-Receive chain (channel response and shaping filter known): drop the CP,
-N-point DFT, extract the occupied band, maximal-ratio combine the R
-frequency copies, single-tap MMSE equalize, despread with an (M/R)-point
-IDFT, slice.
+Receive chain (effective channel H_k * c_k known; the shaping filter is
+part of it, not a receiver input): drop the CP, N-point DFT, extract the
+occupied band, maximal-ratio combine the R frequency copies, single-tap
+MMSE equalize, despread with an (M/R)-point IDFT, slice.
 
 Both chains meet at the equalizer reference plane, the occupied band
 at unit average data power: ``TxSignal.band`` on the way out (the time
@@ -21,8 +21,7 @@ each row of a block is bit-identical to the single-frame call on it.
 
 Conventions fixed here because they matter for reproducibility:
 
-* Subcarrier-to-bin alignment is natural FFT order with negative indices
-  wrapped modulo the transform size (k <-> k mod M/R and k mod N).
+* ``FrameConfig.bins`` is the one map of subcarrier k to grid bin k mod N.
 * Every DFT is unitary.  The one other scale is sqrt(N/M) on the IDFT
   (sqrt(M/N) after the receiver DFT): it gives unit-energy data unit
   average sample power for every unit-average-power filter and any
@@ -78,6 +77,12 @@ class FrameConfig:
     def samples_per_frame(self) -> int:
         return self.idft_size + self.cp_len
 
+    @property
+    def bins(self) -> np.ndarray:
+        """Grid bin k mod N of each occupied subcarrier k = l_down .. l_up."""
+        low, high = band_limits(self.subcarriers)
+        return np.arange(low, high + 1) % self.idft_size
+
 
 @dataclass(frozen=True)
 class DataFrame:
@@ -113,9 +118,8 @@ class TxSignal:
     def samples(self) -> np.ndarray:
         cfg = self.cfg
         n = cfg.idft_size
-        low, high = band_limits(cfg.subcarriers)
         grid = np.zeros(self.band.shape[:-1] + (n,), dtype=complex)
-        grid[..., np.arange(low, high + 1) % n] = self.band
+        grid[..., cfg.bins] = self.band
         body = numerics.dft(grid, inverse=True) * np.sqrt(n / cfg.subcarriers)
         return np.concatenate([body[..., n - cfg.cp_len :], body], axis=-1)
 
@@ -175,13 +179,7 @@ def modulate(data: DataFrame, filt: FdssFilter, cfg: FrameConfig) -> TxSignal:
     return TxSignal(filt.coeffs * spread, cfg)
 
 
-def demodulate(
-    rx,
-    channel_freq,
-    filt: FdssFilter,
-    cfg: FrameConfig,
-    noise_var: float,
-) -> np.ndarray:
+def demodulate(rx, gain, cfg: FrameConfig, noise_var: float) -> np.ndarray:
     """Recover the data symbols of received symbols.
 
     Drops the CP, takes the N-point DFT, extracts the occupied band times
@@ -192,7 +190,7 @@ def demodulate(
     rx : array
         ``idft_size + cp_len`` received samples, shape (N + CP,) for one
         frame or (B, N + CP) for B frames.
-    channel_freq, noise_var
+    gain, noise_var
         As for :func:`equalize`.
 
     Returns
@@ -201,38 +199,27 @@ def demodulate(
         MMSE symbol estimates (biased, as usual for MMSE), with the leading
         shape of ``rx``.
     """
-    rx = np.asarray(rx, dtype=complex)
-    if rx.ndim == 0 or rx.size == 0:
-        raise ValueError("rx must be a nonempty sample array")
-    if rx.shape[-1] != cfg.samples_per_frame:
-        raise ValueError(f"expected {cfg.samples_per_frame} samples, got {rx.shape[-1]}")
-    if not np.all(np.isfinite(rx)):
-        raise ValueError("rx must be finite")
-    n = cfg.idft_size
+    rx, length = np.asarray(rx, dtype=complex), cfg.samples_per_frame
+    if rx.size == 0 or rx.shape[-1:] != (length,) or not np.all(np.isfinite(rx)):
+        raise ValueError(f"rx must hold {length} finite samples per frame, got shape {rx.shape}")
     spectrum = numerics.dft(rx[..., cfg.cp_len :])
-    band = spectrum[..., filt.subcarriers % n] * np.sqrt(cfg.subcarriers / n)
-    return equalize(band, channel_freq, filt, cfg, noise_var)
+    band = spectrum[..., cfg.bins] * np.sqrt(cfg.subcarriers / cfg.idft_size)
+    return equalize(band, gain, cfg, noise_var)
 
 
-def equalize(
-    band,
-    channel_freq,
-    filt: FdssFilter,
-    cfg: FrameConfig,
-    noise_var: float,
-) -> np.ndarray:
+def equalize(band, gain, cfg: FrameConfig, noise_var: float) -> np.ndarray:
     """MRC, single-tap MMSE and despreading of occupied-band values.
 
     Parameters
     ----------
     band : array
         Received values on the occupied band at the equalizer reference
-        plane, aligned with ``filt.subcarriers``: shape (M,) for one frame
-        or (B, M) for B.  A noiseless flat channel gives ``TxSignal.band``.
-    channel_freq : array
-        Channel frequency response on the occupied band, aligned with
-        ``filt.subcarriers`` (genie knowledge; all-ones for AWGN): shape
-        (M,) for every frame alike, or (B, M), one row per frame of ``band``.
+        plane, subcarriers k = l_down .. l_up in order: shape (M,) for one
+        frame or (B, M) for B.  A noiseless flat channel gives ``TxSignal.band``.
+    gain : array
+        Effective channel H_k * c_k on the same subcarriers (genie channel
+        times shaping filter; ``filt.coeffs`` for AWGN): shape (M,) for
+        every frame alike, or (B, M), one row per frame of ``band``.
     noise_var : float
         Per-subcarrier noise variance at the equalizer plane; ``1/noise_var``
         is the per-subcarrier SNR.  Zero selects the zero-forcing limit,
@@ -244,22 +231,15 @@ def equalize(
         MMSE symbol estimates (biased, as usual for MMSE), with the leading
         shape of ``band``.
     """
-    if filt.m != cfg.subcarriers:
-        raise ValueError("filter band does not match the frame configuration")
     m, r = cfg.subcarriers, cfg.repetition
     band = np.asarray(band, dtype=complex)
-    if band.ndim == 0 or band.shape[-1] != m:
-        raise ValueError(f"band must hold {m} values per frame, got shape {band.shape}")
-    if not np.all(np.isfinite(band)):
-        raise ValueError("band must be finite")
+    if band.shape[-1:] != (m,) or not np.all(np.isfinite(band)):
+        raise ValueError(f"band must hold {m} finite values per frame, got shape {band.shape}")
     if not (np.isfinite(noise_var) and noise_var >= 0):
         raise ValueError(f"noise_var must be finite and >= 0, got {noise_var}")
-    h = np.asarray(channel_freq, dtype=complex)
-    if h.shape not in ((m,), band.shape[:-1] + (m,)):
-        raise ValueError("channel_freq must cover the occupied band, once or per frame")
-    if not np.all(np.isfinite(h)):
-        raise ValueError("channel_freq must be finite")
-    gain = h * filt.coeffs
+    gain = np.asarray(gain, dtype=complex)
+    if gain.shape not in ((m,), band.shape) or not np.all(np.isfinite(gain)):
+        raise ValueError(f"gain must be finite, of shape {(m,)} or {band.shape}, got {gain.shape}")
     combined = _fold(np.conj(gain) * band, r)
     combined_gain = _fold(np.abs(gain) ** 2, r)
     if noise_var == 0 and not np.all(combined_gain > 0):
@@ -270,7 +250,7 @@ def equalize(
     equalized = combined * (1.0 / (combined_gain + noise_var))
     # Despread: subcarrier kappa = l_down + i carries bin kappa mod (M/R) of
     # the data DFT, so the combined bins are that DFT rotated by l_down.
-    despread_in = np.roll(equalized, filt.l_down % (m // r), axis=-1)
+    despread_in = np.roll(equalized, band_limits(m)[0] % (m // r), axis=-1)
     return numerics.dft(despread_in, inverse=True)
 
 

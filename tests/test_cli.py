@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -530,6 +532,49 @@ class TestOutputs:
         err = capsys.readouterr().err
         assert err == f"error: cannot write {tmp_path / 's_spectrogram.csv'}: Is a directory\n"
         assert not (tmp_path / "s_time.csv").exists()
+
+    def test_failed_rerun_keeps_the_earlier_outputs(self, plain_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        args = ["synthesize", "--config", str(plain_config), "--out-prefix", str(out / "s_")]
+        assert cli.main([*args, "--data", "0=1"]) == 0
+        before = (out / "s_time.csv").read_bytes()
+        (out / "s_spectrogram.csv").unlink()
+        (out / "s_spectrogram.csv").mkdir()
+        capsys.readouterr()
+        assert cli.main([*args, "--data", "0=1,75=1"]) == 1  # other data: a rewrite would show
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out / 's_spectrogram.csv'}: Is a directory\n"
+        assert (out / "s_time.csv").read_bytes() == before
+        assert sorted(p.name for p in out.iterdir()) == ["s_spectrogram.csv", "s_time.csv"]
+
+    def test_outputs_keep_their_modes(self, tmp_path):
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        old.write_text("earlier run\n")
+        old.chmod(0o640)
+        for out in (new, old):
+            assert cli.main(["design", "--waveform", "plain", "--subcarriers", "8",
+                             "--out", str(out)]) == 0
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
+        assert stat.S_IMODE(old.stat().st_mode) == 0o640
+        assert old.read_text() == new.read_text()
+
+    def test_writes_through_a_symlink(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("earlier run\n")
+        link.symlink_to(target)
+        assert cli.main(["design", "--waveform", "plain", "--subcarriers", "8",
+                         "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert target.read_text().startswith("k,re,im\n")
+
+    def test_writes_a_device_in_place(self):
+        # a device keeps nothing to protect, and renaming over it would replace it
+        assert cli.main(["design", "--waveform", "plain", "--subcarriers", "8",
+                         "--out", os.devnull]) == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
     def test_papr_failing_partway_writes_nothing(self, plain_config, tmp_path, monkeypatch,
                                                  capsys):

@@ -173,6 +173,20 @@ class TestTrajectory:
         assert accepted == (n != g)
 
 
+def oversampled_oracle(a, b, dev, filt):
+    """In-band Fourier coefficients of exp(j (D/2) sum_n a_n cos nx + b_n sin nx), unit power.
+
+    From the DFT of 16 * M samples of one period, aligned with ``filt``.
+    """
+    oversample = 16 * filt.m
+    x = 2 * np.pi * np.arange(oversample) / oversample
+    n = np.arange(1, len(a) + 1)
+    f = a @ np.cos(np.outer(n, x)) + b @ np.sin(np.outer(n, x))
+    oracle = np.fft.fft(np.exp(0.5j * dev * f)) / oversample
+    oracle = oracle[filt.subcarriers % oversample]
+    return oracle * np.sqrt(filt.m / np.sum(np.abs(oracle) ** 2))
+
+
 class TestArbitrary:
     def test_pure_sine_reproduces_sinusoidal(self):
         for dev in (10.0, D):
@@ -198,13 +212,9 @@ class TestArbitrary:
     def test_one_harmonic_against_oversampled_oracle(self, theta):
         # (a, b) = (cos, sin) of any angle: one factor J_m(z) e^{j m phi}, any signs
         a, b, dev, m = np.cos(theta), np.sin(theta), 40.0, 64
-        filt = design_arbitrary(ChirpTrajectory(0.0, np.array([a]), np.array([b]), dev), m)
-        oversample = 16 * m
-        x = 2 * np.pi * np.arange(oversample) / oversample
-        oracle = np.fft.fft(np.exp(0.5j * dev * (a * np.cos(x) + b * np.sin(x)))) / oversample
-        oracle = oracle[filt.subcarriers % oversample]
-        oracle *= np.sqrt(m / np.sum(np.abs(oracle) ** 2))
-        assert np.max(np.abs(filt.coeffs - oracle)) < 1e-9
+        a, b = np.array([a]), np.array([b])
+        filt = design_arbitrary(ChirpTrajectory(0.0, a, b, dev), m)
+        assert np.max(np.abs(filt.coeffs - oversampled_oracle(a, b, dev, filt))) < 1e-9
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -226,13 +236,14 @@ class TestArbitrary:
         a, b = a / peak, b / peak
         dev = dev_fraction * m
         filt = design_arbitrary(ChirpTrajectory(0.0, a, b, dev), m)
-        oversample = 16 * m
-        xo = 2 * np.pi * np.arange(oversample) / oversample
-        f = a @ np.cos(np.outer(n, xo)) + b @ np.sin(np.outer(n, xo))
-        oracle = np.fft.fft(np.exp(0.5j * dev * f)) / oversample
-        oracle = oracle[filt.subcarriers % oversample]
-        oracle *= np.sqrt(m / np.sum(np.abs(oracle) ** 2))
-        assert np.max(np.abs(filt.coeffs - oracle)) < 1e-9
+        assert np.max(np.abs(filt.coeffs - oversampled_oracle(a, b, dev, filt))) < 1e-9
+
+    def test_tiny_harmonic_kept(self):
+        # z = (D/2) * 1e-9 = 5e-9 on harmonic 2: only z = 0 may skip a factor,
+        # so its J_1(z) ~ z/2 terms stay and the oracle bound holds
+        a, b, dev = np.zeros(2), np.array([1.0, 1e-9]), 10.0
+        filt = design_arbitrary(ChirpTrajectory(0.0, a, b, dev), 64)
+        assert np.max(np.abs(filt.coeffs - oversampled_oracle(a, b, dev, filt))) < 1e-9
 
     def test_constant_phase_term(self):
         base = ChirpTrajectory(0.0, np.zeros(1), np.array([1.0]), 10.0)

@@ -38,7 +38,7 @@ class TestSnrConversions:
         rng = np.random.default_rng(5)
         parts = rng.standard_normal((2, 400, cfg.samples_per_frame))
         noise = np.sqrt((512 / 336) / rho / 2.0) * (parts[0] + 1j * parts[1])
-        est = demodulate(noise, np.ones(336), design_plain(336), cfg, 0.0)
+        est = demodulate(noise, design_plain(336).coeffs, cfg, 0.0)
         assert np.mean(np.abs(est) ** 2) == pytest.approx(1.0 / rho, rel=0.02)
 
 
@@ -222,7 +222,7 @@ def replay_point(cfg: LinkConfig, counts: list | None = None) -> BerPoint:
             if chans is not None:
                 h = channel.freq_response(chans[i], frame.idft_size)[bins]
             rx = h * band + scale * (noise[0, i] + 1j * noise[1, i])
-            symbols = equalize(rx, h, filt, frame, 1.0 / rho)
+            symbols = equalize(rx, h * filt.coeffs, frame, 1.0 / rho)
             errors += int(np.sum(qpsk_demap(symbols) != bits[i]))
             bits_sent += frame.bits_per_frame
             frames += 1

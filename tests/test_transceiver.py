@@ -160,16 +160,12 @@ class TestDemodulate:
         frame = DataFrame.from_bits(bits)
         tx = modulate(frame, ALL_FILTERS[name], CFG)
         # zero-forcing limit: exact recovery
-        symbols = demodulate(
-            tx.samples, np.ones(M, complex), ALL_FILTERS[name], CFG, 0.0
-        )
+        symbols = demodulate(tx.samples, ALL_FILTERS[name].coeffs, CFG, 0.0)
         rms = np.sqrt(np.mean(np.abs(symbols - frame.symbols) ** 2))
         assert rms < 1e-6
         np.testing.assert_array_equal(qpsk_demap(symbols), bits)
         # tiny regularizer: residual bias bounded by the deepest filter null
-        symbols = demodulate(
-            tx.samples, np.ones(M, complex), ALL_FILTERS[name], CFG, 1e-12
-        )
+        symbols = demodulate(tx.samples, ALL_FILTERS[name].coeffs, CFG, 1e-12)
         assert np.sqrt(np.mean(np.abs(symbols - frame.symbols) ** 2)) < 1e-4
 
     def test_noiseless_round_trip_with_repetition(self):
@@ -179,7 +175,7 @@ class TestDemodulate:
         frame = DataFrame.from_bits(bits)
         filt = ALL_FILTERS["sinusoidal"]
         tx = modulate(frame, filt, cfg)
-        symbols = demodulate(tx.samples, np.ones(M, complex), filt, cfg, 1e-12)
+        symbols = demodulate(tx.samples, filt.coeffs, cfg, 1e-12)
         assert np.sqrt(np.mean(np.abs(symbols - frame.symbols) ** 2)) < 1e-6
 
     def _measure_sinr(self, filt, cfg, snr_db, n_frames, seed):
@@ -196,9 +192,7 @@ class TestDemodulate:
                 rng.standard_normal(len(tx.samples))
                 + 1j * rng.standard_normal(len(tx.samples))
             )
-            symbols = demodulate(
-                tx.samples + noise, np.ones(cfg.subcarriers, complex), filt, cfg, 1.0 / rho
-            )
+            symbols = demodulate(tx.samples + noise, filt.coeffs, cfg, 1.0 / rho)
             sent.append(frame.symbols)
             got.append(symbols)
         s = np.concatenate(sent)
@@ -221,13 +215,11 @@ class TestDemodulate:
     def test_input_validation(self):
         filt = ALL_FILTERS["plain"]
         with pytest.raises(ValueError):
-            demodulate(np.ones(10, complex), np.ones(M, complex), filt, CFG, 0.1)
+            demodulate(np.ones(10, complex), filt.coeffs, CFG, 0.1)
         with pytest.raises(ValueError):
-            demodulate(np.array([], dtype=complex), np.ones(M, complex), filt, CFG, 0.1)
+            demodulate(np.array([], dtype=complex), filt.coeffs, CFG, 0.1)
         with pytest.raises(ValueError):
-            demodulate(
-                np.ones(CFG.samples_per_frame, complex), np.ones(5, complex), filt, CFG, 0.1
-            )
+            demodulate(np.ones(CFG.samples_per_frame, complex), np.ones(5, complex), CFG, 0.1)
 
 
 class TestBoundaryValidation:
@@ -237,47 +229,52 @@ class TestBoundaryValidation:
     def test_nonfinite_inputs_named(self, bad):
         filt = ALL_FILTERS["plain"]
         rx = np.ones(CFG.samples_per_frame, complex)
-        h = np.ones(M, complex)
         with pytest.raises(ValueError, match="^data symbols"):
             modulate(single_symbol_frame(3, value=bad), filt, CFG)
         rx_bad = rx.copy()
         rx_bad[100] = bad
         with pytest.raises(ValueError, match="^rx "):
-            demodulate(rx_bad, h, filt, CFG, 0.1)
-        h_bad = h.copy()
-        h_bad[5] = bad
-        with pytest.raises(ValueError, match="^channel_freq "):
-            demodulate(rx, h_bad, filt, CFG, 0.1)
+            demodulate(rx_bad, filt.coeffs, CFG, 0.1)
+        gain_bad = filt.coeffs.copy()
+        gain_bad[5] = bad
+        with pytest.raises(ValueError, match="^gain "):
+            demodulate(rx, gain_bad, CFG, 0.1)
 
     @pytest.mark.parametrize("noise_var", [-0.1, -np.inf, np.inf, np.nan])
     def test_bad_noise_var_named(self, noise_var):
         rx = np.ones(CFG.samples_per_frame, complex)
         with pytest.raises(ValueError, match="^noise_var "):
-            demodulate(rx, np.ones(M, complex), ALL_FILTERS["plain"], CFG, noise_var)
+            demodulate(rx, ALL_FILTERS["plain"].coeffs, CFG, noise_var)
 
     def test_zero_forcing_on_zero_gain_bins_rejected(self):
         filt = design_sinusoidal(1.0, M)
         assert np.sum(filt.coeffs == 0) == 81
         tx = modulate(DataFrame.from_bits(np.zeros(CFG.bits_per_frame, int)), filt, CFG)
         with pytest.raises(ValueError, match="^noise_var = 0"):
-            demodulate(tx.samples, np.ones(M, complex), filt, CFG, 0.0)
+            demodulate(tx.samples, filt.coeffs, CFG, 0.0)
 
     def test_equalize_band_named(self):
-        filt = ALL_FILTERS["plain"]
-        h = np.ones(M, complex)
+        gain = ALL_FILTERS["plain"].coeffs
         with pytest.raises(ValueError, match="^band "):
-            equalize(np.ones(M - 1, complex), h, filt, CFG, 0.1)
+            equalize(np.ones(M - 1, complex), gain, CFG, 0.1)
         with pytest.raises(ValueError, match="^band "):
-            equalize(np.full(M, np.nan, complex), h, filt, CFG, 0.1)
-        with pytest.raises(ValueError, match="^channel_freq "):
-            equalize(np.ones((3, M), complex), np.ones((2, M), complex), filt, CFG, 0.1)
+            equalize(np.full(M, np.nan, complex), gain, CFG, 0.1)
+        with pytest.raises(ValueError, match="^gain "):
+            equalize(np.ones((3, M), complex), np.ones((2, M), complex), CFG, 0.1)
+
+    def test_equalize_gain_must_match_the_frame(self):
+        # the band size comes from the frame alone; a gain for M + 1 subcarriers
+        # (a filter designed for another band) is rejected by its shape
+        gain = design_plain(M + 1).coeffs
+        with pytest.raises(ValueError, match=rf"^gain .*got \({M + 1},\)$"):
+            equalize(np.ones(M, complex), gain, CFG, 0.1)
 
     def test_zero_forcing_round_trip_flat_filter(self):
         bits = np.random.default_rng(5).integers(0, 2, CFG.bits_per_frame)
         frame = DataFrame.from_bits(bits)
         filt = design_plain(M)
         tx = modulate(frame, filt, CFG)
-        symbols = demodulate(tx.samples, np.ones(M, complex), filt, CFG, 0.0)
+        symbols = demodulate(tx.samples, filt.coeffs, CFG, 0.0)
         assert np.max(np.abs(symbols - frame.symbols)) < 1e-12
 
 
@@ -308,20 +305,19 @@ class TestBatch:
         rx = tx.samples + 0.1 * (noise[0] + 1j * noise[1])
         parts = rng.standard_normal((2, 6, M))
         h = 1.0 + 0.3 * (parts[0] + 1j * parts[1])
-        for channel_freq, per_frame in ((np.ones(M, complex), [np.ones(M, complex)] * 6),
-                                        (h, h)):
-            symbols = demodulate(rx, channel_freq, filt, cfg, 0.05)
+        hc = h * filt.coeffs
+        for gain, per_frame in ((filt.coeffs, [filt.coeffs] * 6), (hc, hc)):
+            symbols = demodulate(rx, gain, cfg, 0.05)
             for i in range(6):
-                one = demodulate(rx[i], per_frame[i], filt, cfg, 0.05)
+                one = demodulate(rx[i], per_frame[i], cfg, 0.05)
                 np.testing.assert_array_equal(symbols[i], one)
 
-    def test_channel_freq_must_match_the_batch(self):
+    def test_gain_must_match_the_batch(self):
         rx = np.ones((3, CFG.samples_per_frame), complex)
-        filt = ALL_FILTERS["plain"]
-        with pytest.raises(ValueError, match="^channel_freq "):
-            demodulate(rx, np.ones((2, M), complex), filt, CFG, 0.1)
-        with pytest.raises(ValueError, match="^channel_freq "):
-            demodulate(rx[0], np.ones((3, M), complex), filt, CFG, 0.1)
+        with pytest.raises(ValueError, match="^gain "):
+            demodulate(rx, np.ones((2, M), complex), CFG, 0.1)
+        with pytest.raises(ValueError, match="^gain "):
+            demodulate(rx[0], np.ones((3, M), complex), CFG, 0.1)
 
 
 def both_paths(symbols, filt, cfg, h, noise, noise_var):
@@ -340,9 +336,9 @@ def both_paths(symbols, filt, cfg, h, noise, noise_var):
     if h is not None:
         rx = channel.apply(rx, h)
         h_band = channel.freq_response(h, n)[..., bins]
-    time = demodulate(rx + noise, h_band, filt, cfg, noise_var)
+    time = demodulate(rx + noise, h_band * filt.coeffs, cfg, noise_var)
     w = numerics.dft(noise[..., cfg.cp_len :])[..., bins] * np.sqrt(m / n)
-    band = equalize(h_band * tx.band + w, h_band, filt, cfg, noise_var)
+    band = equalize(h_band * tx.band + w, h_band * filt.coeffs, cfg, noise_var)
     return time, band
 
 
@@ -396,7 +392,7 @@ class TestRandomNumerologies:
             h = channel.draw(profile, rng, 2)
             rx = channel.apply(rx, h)
             h_band = channel.freq_response(h, cfg.idft_size)[:, filt.subcarriers % cfg.idft_size]
-        symbols = demodulate(rx, h_band, filt, cfg, 0.0)  # zero-forcing: exact recovery
+        symbols = demodulate(rx, h_band * filt.coeffs, cfg, 0.0)  # zero-forcing: exact recovery
         assert np.max(np.abs(symbols - qpsk_map(bits))) < 1e-8
         np.testing.assert_array_equal(qpsk_demap(symbols), bits)
 
@@ -471,6 +467,13 @@ class TestFrameConfig:
         assert (CFG.subcarriers, CFG.idft_size, CFG.cp_len) == (336, 512, 96)
         assert CFG.symbols_per_frame == 336
         assert CFG.bits_per_frame == 672
+
+    def test_bins_in_natural_fft_order(self):
+        # subcarrier k = l_down .. l_up sits at grid bin k mod N
+        guarded = FrameConfig(subcarriers=4, idft_size=8, cp_len=2).bins
+        np.testing.assert_array_equal(guarded, [7, 0, 1, 2])
+        full = FrameConfig(subcarriers=8, idft_size=8, cp_len=2).bins
+        np.testing.assert_array_equal(full, [5, 6, 7, 0, 1, 2, 3, 4])
 
     def test_validation(self):
         with pytest.raises(ValueError):
