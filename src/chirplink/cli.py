@@ -1,9 +1,9 @@
 """Command-line front end: filter design, synthesis, diagnostics, BER sweeps.
 
 Every output is CSV; each config-driven one starts with the one config echo,
-``_echo_header``, and ``design`` writes rows only.  ``_write`` is the one
-place that writes a file: a command formats all its outputs, then one
-``_write`` call writes all of them or none.  Exit codes: 0 on success, 1 on
+``_echo_header``, and ``design`` writes rows only.  ``_outputs`` is the one
+place that writes a file: a command claims all its outputs before its work
+and writes all of them or none after it.  Exit codes: 0 on success, 1 on
 usage/config errors, 2 when any BER point under-converged.
 
 The config schema checks only the file's shape: its keys, nesting and YAML
@@ -17,6 +17,7 @@ file or a traceback for invalid input or an unwritable output path.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import stat
 import sys
@@ -82,13 +83,12 @@ CONFIG_SCHEMA = {
                 "seed": {"type": "integer"},
             },
         },
-        # no dataclass holds these two, so their bounds stay here
+        # no dataclass holds this one, so its bound stays here
         "analysis": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
                 "snr_db": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-                "psd_frames": {"type": "integer", "minimum": 1},
             },
         },
     },
@@ -163,44 +163,67 @@ def _echo_header(raw: dict) -> str:
     return f"# chirplink {__version__}\n# config: {echo}\n"
 
 
-def _write(outputs: dict) -> None:
-    """Write each ``{path: text}`` output, or none: an ``OSError`` is a ``UsageError``.
+@contextlib.contextmanager
+def _cannot_write(path):
+    """An ``OSError`` on ``path`` as the ``UsageError`` ``cannot write <path>: <reason>``."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
 
-    Temporaries beside the targets are renamed into place once all are written,
-    so a failure leaves every existing file as it was, mode included.
+
+@contextlib.contextmanager
+def _outputs(*paths):
+    """Claim every output before the work, then write all of them or none.
+
+    ``with _outputs(a, b) as texts:`` first stages a temporary beside each
+    target, so a path that cannot be written fails as a ``UsageError``
+    before any work runs.  The block sets ``texts[path]`` for every path;
+    when it ends, the texts are written and the temporaries renamed into
+    place.  A failure, in the block or in the writing, removes the
+    temporaries, so every existing file is left as it was, mode included.
     """
     umask = os.umask(0o077)  # read it; restrictive for the moment it is set
     os.umask(umask)
-    staged = {}  # temporary path: target
+    staged = {}  # path: (open file, its temporary or None, target)
+    texts = {}
     try:
-        for path, text in outputs.items():
-            mode = 0o666 & ~umask  # what open() gives a new file
-            if os.path.exists(path):
-                with open(path, "a") as fh:  # fails where writing would: a directory, no permission
+        for path in paths:
+            with _cannot_write(path):
+                mode = 0o666 & ~umask  # what open() gives a new file
+                if os.path.exists(path):
+                    fh = open(path, "a")  # fails where writing would: a directory, no permission
                     mode = os.fstat(fh.fileno()).st_mode
-                    if not stat.S_ISREG(mode):  # a device or a pipe keeps nothing: write it now
-                        fh.write(text)
+                    if not stat.S_ISREG(mode):  # a device or a pipe keeps nothing: write in place
+                        staged[path] = fh, None, path
                         continue
-            target = os.path.realpath(path)  # through a symlink, as open() writes
-            fd, temporary = tempfile.mkstemp(prefix=".chirplink-", dir=os.path.dirname(target))
-            staged[temporary] = target
-            with os.fdopen(fd, "w", encoding="ascii") as fh:
-                fh.write(text)
-            os.chmod(temporary, mode)
-    except OSError as exc:
-        for temporary in staged:
-            os.remove(temporary)
-        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
-    for temporary, target in staged.items():
-        os.replace(temporary, target)
+                    fh.close()
+                target = os.path.realpath(path)  # through a symlink, as open() writes
+                fd, temporary = tempfile.mkstemp(prefix=".chirplink-", dir=os.path.dirname(target))
+                staged[path] = os.fdopen(fd, "w", encoding="ascii"), temporary, target
+                os.chmod(temporary, mode)
+        yield texts
+        for path, (fh, _, _) in staged.items():
+            with _cannot_write(path), fh:
+                fh.write(texts[path])
+    except BaseException:
+        for fh, temporary, _ in staged.values():
+            fh.close()
+            if temporary is not None:
+                os.remove(temporary)
+        raise
+    for _, temporary, target in staged.values():
+        if temporary is not None:
+            os.replace(temporary, target)
 
 
 def cmd_design(args) -> int:
-    filt = design_filter(args.waveform, args.deviation, args.subcarriers, args.harmonics)
-    rows = ["k,re,im\n"]
-    for k, c in zip(filt.subcarriers, filt.coeffs):
-        rows.append(f"{k},{c.real:.17g},{c.imag:.17g}\n")  # 17 digits: lossless
-    _write({args.out: "".join(rows)})
+    with _outputs(args.out) as texts:
+        filt = design_filter(args.waveform, args.deviation, args.subcarriers, args.harmonics)
+        rows = ["k,re,im\n"]
+        for k, c in zip(filt.subcarriers, filt.coeffs):
+            rows.append(f"{k},{c.real:.17g},{c.imag:.17g}\n")  # 17 digits: lossless
+        texts[args.out] = "".join(rows)
     ratio = filt.magnitude_ratio()
     print(f"wrote {args.out}: {filt.m} coefficients, k = {filt.l_down}..{filt.l_up}")
     print(f"truncation loss: {filt.truncation_loss:.6e}")
@@ -229,30 +252,33 @@ def cmd_synthesize(args) -> int:
         if not 0 <= idx < len(data):
             raise UsageError(f"symbol index {idx} out of range 0..{len(data) - 1}")
         data[idx] = val
-    tx = transceiver.modulate(DataFrame(data), cfg.filter, frame)
-    spec = analysis.spectrogram(tx.samples[frame.cp_len :], win_len=args.win_len, hop=args.hop)
-    header = _echo_header(raw)
-
-    time_csv = [header, f"# cp_len: {frame.cp_len}\n", "sample,re,im\n"]
-    for i, v in enumerate(tx.samples):
-        time_csv.append(f"{i},{v.real:.9e},{v.imag:.9e}\n")
-
-    spec_csv = [header, f"# win_len: {args.win_len} hop: {args.hop}\n"]
-    spec_csv.append("start," + ",".join(f"bin{i}" for i in range(spec.shape[1])) + "\n")
-    for i, row in enumerate(spec):
-        spec_csv.append(f"{i * args.hop}," + ",".join(f"{v:.4f}" for v in row) + "\n")
-
     time_path = f"{args.out_prefix}time.csv"
     spec_path = f"{args.out_prefix}spectrogram.csv"
-    _write({time_path: "".join(time_csv), spec_path: "".join(spec_csv)})
+    with _outputs(time_path, spec_path) as texts:
+        tx = transceiver.modulate(DataFrame(data), cfg.filter, frame)
+        spec = analysis.spectrogram(tx.samples[frame.cp_len :], win_len=args.win_len, hop=args.hop)
+        header = _echo_header(raw)
+
+        time_csv = [header, f"# cp_len: {frame.cp_len}\n", "sample,re,im\n"]
+        for i, v in enumerate(tx.samples):
+            time_csv.append(f"{i},{v.real:.9e},{v.imag:.9e}\n")
+
+        spec_csv = [header, f"# win_len: {args.win_len} hop: {args.hop}\n"]
+        spec_csv.append("start," + ",".join(f"bin{i}" for i in range(spec.shape[1])) + "\n")
+        for i, row in enumerate(spec):
+            spec_csv.append(f"{i * args.hop}," + ",".join(f"{v:.4f}" for v in row) + "\n")
+
+        texts[time_path], texts[spec_path] = "".join(time_csv), "".join(spec_csv)
     print(f"wrote {time_path} and {spec_path}")
     return EXIT_OK
 
 
 def cmd_ber(args) -> int:
     raw = load_config(args.config)
-    curve = simulation.run_ber_sweep(link_config_from(raw))
-    _write({args.out: _echo_header(raw) + curve.csv_text()})
+    cfg = link_config_from(raw)
+    with _outputs(args.out) as texts:
+        curve = simulation.run_ber_sweep(cfg)
+        texts[args.out] = _echo_header(raw) + curve.csv_text()
     for p in curve.points:
         tag = "" if p.converged else "  UNDER-CONVERGED"
         print(
@@ -267,42 +293,35 @@ def cmd_analyze(args) -> int:
     raw = load_config(args.config)
     cfg = link_config_from(raw)
     filt, frame = cfg.filter, cfg.frame
-    ana = raw.get("analysis", {})
-    if args.mode == "snrpost":
-        grid_db, snr = snr_grid(raw, frame.repetition)
-        rep = analysis.snr_post(filt, snr, frame.repetition)
-        post_db = 10.0 * np.log10(rep.snr_post)  # inf where saturated
-        lines = [f"# repetition: {frame.repetition}\n", "snr_db,snr_post_db,alpha_mmse\n"]
-        for s, p, alpha in zip(grid_db, post_db, rep.alpha_mmse):
-            lines.append(f"{s:.6f},{p:.6f},{alpha:.9e}\n")
-    elif args.mode == "psd":
-        n_frames = int(ana.get("psd_frames", 1000))
-        rng = np.random.default_rng(cfg.seed)
-        total = np.zeros(frame.idft_size)
-        block = simulation.FRAME_BLOCK  # memory stays flat in psd_frames
-        for start in range(0, n_frames, block):
-            bits = rng.integers(0, 2, (min(block, n_frames - start), frame.bits_per_frame))
-            tx = transceiver.modulate(DataFrame.from_bits(bits), filt, frame)
-            for power in np.abs(np.fft.fft(tx.samples[:, frame.cp_len :], axis=1)) ** 2:
-                total += power  # frame by frame, the order of one mean over all frames
-        shift = np.fft.fftshift(analysis.in_band_db(total / n_frames))
-        freqs = np.fft.fftshift(np.fft.fftfreq(frame.idft_size) * frame.idft_size).astype(int)
-        lines = [f"# frames: {n_frames}\n", "subcarrier,psd_db\n"]
-        for k, v in zip(freqs, shift):
-            lines.append(f"{k},{v:.6f}\n")
-    elif args.mode == "papr":
-        lines = ["waveform,single_chirp_papr_db,random_frame_papr_db\n"]
-        for wf in WAVEFORMS:
-            filt = design_filter(wf, cfg.deviation, frame.subcarriers, cfg.n_harmonics)
-            d = np.zeros(frame.symbols_per_frame, dtype=complex)
-            d[0] = 1.0
-            single = transceiver.modulate(DataFrame(d), filt, frame)
-            single_papr = analysis.papr(single.samples[frame.cp_len :])
-            bits = np.random.default_rng(cfg.seed).integers(0, 2, (100, frame.bits_per_frame))
-            tx = transceiver.modulate(DataFrame.from_bits(bits), filt, frame)
-            vals = [analysis.papr(body) for body in tx.samples[:, frame.cp_len :]]
-            lines.append(f"{wf},{single_papr:.4f},{np.mean(vals):.4f}\n")
-    _write({args.out: _echo_header(raw) + "".join(lines)})
+    with _outputs(args.out) as texts:
+        if args.mode == "snrpost":
+            grid_db, snr = snr_grid(raw, frame.repetition)
+            rep = analysis.snr_post(filt, snr, frame.repetition)
+            post_db = 10.0 * np.log10(rep.snr_post)  # inf where saturated
+            lines = [f"# repetition: {frame.repetition}\n", "snr_db,snr_post_db,alpha_mmse\n"]
+            for s, p, alpha in zip(grid_db, post_db, rep.alpha_mmse):
+                lines.append(f"{s:.6f},{p:.6f},{alpha:.9e}\n")
+        elif args.mode == "psd":
+            power = np.zeros(frame.idft_size)  # iid unit-power data: E|X_k|^2 = 1 on every bin
+            power[frame.bins] = np.abs(filt.coeffs) ** 2
+            shift = np.fft.fftshift(analysis.in_band_db(power))
+            freqs = np.fft.fftshift(np.fft.fftfreq(frame.idft_size) * frame.idft_size).astype(int)
+            lines = ["subcarrier,psd_db\n"]
+            for k, v in zip(freqs, shift):
+                lines.append(f"{k},{v:.6f}\n")
+        elif args.mode == "papr":
+            lines = ["waveform,single_chirp_papr_db,random_frame_papr_db\n"]
+            for wf in WAVEFORMS:
+                filt = design_filter(wf, cfg.deviation, frame.subcarriers, cfg.n_harmonics)
+                d = np.zeros(frame.symbols_per_frame, dtype=complex)
+                d[0] = 1.0
+                single = transceiver.modulate(DataFrame(d), filt, frame)
+                single_papr = analysis.papr(single.samples[frame.cp_len :])
+                bits = np.random.default_rng(cfg.seed).integers(0, 2, (100, frame.bits_per_frame))
+                tx = transceiver.modulate(DataFrame.from_bits(bits), filt, frame)
+                vals = [analysis.papr(body) for body in tx.samples[:, frame.cp_len :]]
+                lines.append(f"{wf},{single_papr:.4f},{np.mean(vals):.4f}\n")
+        texts[args.out] = _echo_header(raw) + "".join(lines)
     print(f"wrote {args.out}")
     return EXIT_OK
 

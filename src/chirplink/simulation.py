@@ -37,12 +37,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import analysis, channel, fdss, transceiver
-from .transceiver import DataFrame, FrameConfig
+from .transceiver import DataFrame, FrameConfig, _require_counts
 
 WAVEFORMS = ("plain", "linear", "sinusoidal", "triangular")
 
 #: Default number of trajectory harmonics for the triangular design.
 TRIANGULAR_HARMONICS = 64
+
+#: Most trajectory harmonics a design takes: the triangular design's cost
+#: grows about 7x per doubling of them (README gives measured times).
+MAX_HARMONICS = 256
 
 #: Frames per block of the Monte Carlo loop; fixes the random stream.
 FRAME_BLOCK = 16
@@ -59,6 +63,8 @@ def design_filter(
         raise ValueError(f"deviation must be finite and > 0, got {deviation}")
     if n_harmonics < 1:
         raise ValueError(f"n_harmonics must be >= 1, got {n_harmonics}")
+    if n_harmonics > MAX_HARMONICS:
+        raise ValueError(f"n_harmonics must be <= {MAX_HARMONICS}, got {n_harmonics}")
     if waveform == "plain":
         return fdss.design_plain(m)
     if waveform == "linear":
@@ -91,6 +97,8 @@ class LinkConfig:
     n_harmonics: int = TRIANGULAR_HARMONICS
 
     def __post_init__(self):
+        _require_counts(self, "min_bits", "min_errors", "max_frames", "seed", "n_harmonics")
+        object.__setattr__(self, "ebn0_grid_db", tuple(float(e) for e in self.ebn0_grid_db))
         if not self.ebn0_grid_db:
             raise ValueError("ebn0_grid_db (config sweep/ebn0_db) must be nonempty")
         r = self.frame.repetition
@@ -110,7 +118,6 @@ class LinkConfig:
         memory = 0 if self.channel_profile is None else self.channel_profile.max_delay
         if memory > self.frame.cp_len:
             raise ValueError(f"channel memory {memory} exceeds the cyclic prefix cp_len")
-        object.__setattr__(self, "ebn0_grid_db", tuple(float(e) for e in self.ebn0_grid_db))
         self.filter  # the waveform, deviation, harmonics and design rules fail here
 
     @cached_property

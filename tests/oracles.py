@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 
+from chirplink.transceiver import DataFrame, modulate
+
 
 def piecewise_triangle(x):
     """Piecewise-quadratic triangular profile f(x), down-chirp first, period 2 pi.
@@ -31,3 +33,19 @@ def nmse_db(x, ref, optimize_scale: bool = True) -> float:
     if err == 0.0:
         return -math.inf
     return float(10.0 * np.log10(err / np.sum(np.abs(ref) ** 2)))
+
+
+def render_frames(filt, n_frames, seed, cfg):
+    """Symbol bodies (CP dropped) of ``n_frames`` random QPSK frames, end to end.
+
+    Its ``analysis.psd`` over ``n_frames`` segments of ``cfg.idft_size`` is
+    the periodogram the closed-form PSD |c_k|^2 is checked against.
+    """
+    rng = np.random.default_rng(seed)
+    out = np.empty(n_frames * cfg.idft_size, dtype=complex)
+    for i in range(n_frames):
+        frame = DataFrame.from_bits(rng.integers(0, 2, cfg.bits_per_frame))
+        out[i * cfg.idft_size : (i + 1) * cfg.idft_size] = modulate(
+            frame, filt, cfg
+        ).samples[cfg.cp_len :]
+    return out

@@ -20,7 +20,7 @@ from chirplink.analysis import (
 from chirplink.fdss import design_plain
 from chirplink.simulation import WAVEFORMS, design_filter
 from chirplink.transceiver import DataFrame, FrameConfig, modulate
-from oracles import piecewise_triangle
+from oracles import piecewise_triangle, render_frames
 
 CFG = FrameConfig()
 M, N, D = 336, 512, 318.0
@@ -29,17 +29,6 @@ FILTERS = {name: design_filter(name, D, M) for name in
            ("plain", "linear", "sinusoidal", "triangular")}
 
 SNR_GRID_DB = np.arange(-10.0, 31.0, 1.0)
-
-
-def render_frames(filt, n_frames, seed, cfg=CFG):
-    rng = np.random.default_rng(seed)
-    out = np.empty(n_frames * cfg.idft_size, dtype=complex)
-    for i in range(n_frames):
-        frame = DataFrame.from_bits(rng.integers(0, 2, cfg.bits_per_frame))
-        out[i * cfg.idft_size : (i + 1) * cfg.idft_size] = modulate(
-            frame, filt, cfg
-        ).samples[cfg.cp_len :]
-    return out
 
 
 def single_chirp(name, cfg=CFG):
@@ -222,14 +211,14 @@ class TestPsd:
         assert p[10] == pytest.approx(0.0, abs=1e-9)  # lone in-band bin sits at 0 dB
 
     def test_plain_frames_flat_in_band(self):
-        p = psd(render_frames(FILTERS["plain"], 600, seed=0), N, 600)
+        p = psd(render_frames(FILTERS["plain"], 600, seed=0, cfg=CFG), N, 600)
         ks = np.fft.fftfreq(N) * N
         in_band = np.abs(ks) <= 167
         assert np.all(np.abs(p[in_band]) <= 1.0)          # within +/-1 dB of average
         assert np.max(p[np.abs(ks) > 180]) < -100.0       # sharp guard-band rolloff
 
     def test_sinusoidal_frames_edge_emphasis(self):
-        p = psd(render_frames(FILTERS["sinusoidal"], 600, seed=1), N, 600)
+        p = psd(render_frames(FILTERS["sinusoidal"], 600, seed=1, cfg=CFG), N, 600)
         ks = np.fft.fftfreq(N) * N
         edge = (np.abs(ks) >= 140) & (np.abs(ks) <= 167)
         center = np.abs(ks) <= 30

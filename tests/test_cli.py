@@ -4,7 +4,6 @@ import hashlib
 import math
 import os
 import stat
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +11,8 @@ import pytest
 from chirplink import __version__, analysis, cli, fdss
 from chirplink.channel import ChannelProfile
 from chirplink.simulation import WAVEFORMS, LinkConfig, design_filter
+from chirplink.transceiver import FrameConfig
+from oracles import render_frames
 
 BASE_CONFIG = """\
 waveform: {waveform}
@@ -59,6 +60,8 @@ INVALID_CONFIGS = {
     "zero_deviation": ("deviation", BASE_CONFIG.replace("deviation: 318.0", "deviation: 0")),
     "negative_deviation": ("deviation", BASE_CONFIG.replace("deviation: 318.0", "deviation: -1")),
     "zero_harmonics": ("n_harmonics", BASE_CONFIG + "n_harmonics: 0\n"),
+    "huge_harmonics": ("n_harmonics", BASE_CONFIG.replace("{waveform}", "triangular")
+                       + "n_harmonics: 100000000000000000000\n"),
     "zero_subcarriers": ("subcarriers", BASE_CONFIG.replace("subcarriers: 336", "subcarriers: 0")),
     "zero_idft_size": ("idft_size", BASE_CONFIG.replace("idft_size: 512", "idft_size: 0")),
     "negative_cp_len": ("cp_len", BASE_CONFIG.replace("cp_len: 96", "cp_len: -1")),
@@ -186,6 +189,9 @@ class TestDesign:
         (["plain", "--deviation", "-5"], "deviation must be finite and > 0, got -5.0"),
         (["sinusoidal", "--deviation", "0"], "deviation must be finite and > 0, got 0.0"),
         (["linear", "--harmonics", "0"], "n_harmonics must be >= 1, got 0"),
+        (["triangular", "--harmonics", "257"], "n_harmonics must be <= 256, got 257"),
+        (["triangular", "--harmonics", "100000000000000000000"],
+         "n_harmonics must be <= 256, got 100000000000000000000"),
     ])
     def test_rejects_what_a_config_rejects(self, flags, message, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -301,8 +307,7 @@ class TestAnalyze:
 
     def test_psd_output(self, tmp_path):
         cfg = tmp_path / "psd.yaml"
-        cfg.write_text(BASE_CONFIG.format(waveform="sinusoidal")
-                       + "analysis:\n  psd_frames: 1000\n")
+        cfg.write_text(BASE_CONFIG.format(waveform="sinusoidal"))
         out = tmp_path / "psd.csv"
         rc = cli.main(["analyze", "--config", str(cfg), "--mode", "psd",
                        "--out", str(out)])
@@ -393,18 +398,19 @@ class TestAnalyze:
 
     @staticmethod
     def _rows(mode, repetition, tmp_path):
-        """Data rows (below the comment header) for sinusoidal shaping, 300 PSD frames."""
+        """Data rows (below the comment header) for sinusoidal shaping."""
         cfg = tmp_path / "pin.yaml"
         cfg.write_text(BASE_CONFIG.format(waveform="sinusoidal").replace(
-            "repetition: 1", f"repetition: {repetition}") + "analysis:\n  psd_frames: 300\n")
+            "repetition: 1", f"repetition: {repetition}"))
         out = tmp_path / "out.csv"
         assert cli.main(["analyze", "--config", str(cfg), "--mode", mode, "--out", str(out)]) == 0
         return [ln for ln in out.read_text().splitlines(keepends=True) if not ln.startswith("#")]
 
-    # sha256 of the data rows, as written by the frame-by-frame loop.
+    # sha256 of the data rows: the psd rows are the closed form |c_k|^2, the
+    # same for every R; the papr rows as written by the frame-by-frame loop.
     PINNED_ROWS = {
-        ("psd", 1): "085403f4a319523185a849775a53d01d03e249db144c9b64262372751a40de08",
-        ("psd", 4): "fc256abbee7de31c3be36ca446ce8181f72bfcd6f6d21745f8256c6736225925",
+        ("psd", 1): "9f791251cd426cf7f600ab09654adbf4ce5fd718ddead74d0494fa520034159e",
+        ("psd", 4): "9f791251cd426cf7f600ab09654adbf4ce5fd718ddead74d0494fa520034159e",
         ("papr", 1): "b37210d2418c92e462d22cee1480a387e1d53be58c437e2b1292036220d16db1",
         ("papr", 4): "4e755da11ba0140a62044f55f237b9ead2b3154612d4a355075098f6ebd83bdb",
     }
@@ -415,12 +421,11 @@ class TestAnalyze:
         digest = hashlib.sha256(rows.encode()).hexdigest()
         assert digest == self.PINNED_ROWS[mode, repetition]
 
-    # sha256 of the PSD's 336 in-band rows alone.  The guard rows hold
-    # IFFT -> FFT roundoff below -300 dB, which any rescaling of the
-    # transforms moves; the in-band rows must not move.
+    # sha256 of the PSD's 336 in-band rows alone, which carry the filter's
+    # power response; the guard rows sit at the in_band_db floor.
     PINNED_PSD_IN_BAND = {
-        1: "97a0135cb92c677250091aefc4cf979682fe1121baea140a6f03d12850b9253b",
-        4: "23a6c830e4c5bacce6fa49d8984d968362a7651a98769b27e80b3cb40489e4eb",
+        1: "429916a8b2d1c6e35081cbaab9927446ba00dd887104ee7e7d89f17bd564aaa5",
+        4: "429916a8b2d1c6e35081cbaab9927446ba00dd887104ee7e7d89f17bd564aaa5",
     }
 
     @pytest.mark.parametrize("repetition", sorted(PINNED_PSD_IN_BAND))
@@ -432,20 +437,51 @@ class TestAnalyze:
         digest = hashlib.sha256("".join(in_band).encode()).hexdigest()
         assert digest == self.PINNED_PSD_IN_BAND[repetition]
 
-    def test_psd_memory_does_not_grow_with_frames(self, tmp_path):
-        peaks = {}
-        for n_frames in (200, 2000):
-            cfg = tmp_path / f"psd{n_frames}.yaml"
-            cfg.write_text(BASE_CONFIG.format(waveform="plain")
-                           + f"analysis:\n  psd_frames: {n_frames}\n")
-            tracemalloc.start()
-            try:
-                assert cli.main(["analyze", "--config", str(cfg), "--mode", "psd",
-                                 "--out", str(tmp_path / "psd.csv")]) == 0
-                peaks[n_frames] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peaks[2000] <= 1.5 * peaks[200]
+    @staticmethod
+    def _psd(waveform, repetition, seed, tmp_path):
+        """The ``analyze --mode psd`` lines below the echo, and the dB values by grid bin."""
+        cfg = tmp_path / f"psd{seed}.yaml"
+        cfg.write_text(BASE_CONFIG.format(waveform=waveform).replace(
+            "repetition: 1", f"repetition: {repetition}").replace("seed: 11", f"seed: {seed}"))
+        out = tmp_path / f"psd{seed}.csv"
+        assert cli.main(["analyze", "--config", str(cfg), "--mode", "psd", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()[2:]
+        db = np.zeros(512)
+        for line in lines[1:]:
+            k, v = line.split(",")
+            db[int(k) % 512] = float(v)
+        return lines, db
+
+    # E|X_k|^2 = 1 on every bin of the unitary data DFT, so the PSD is |c_k|^2
+    @pytest.mark.parametrize("repetition", [1, 4])
+    @pytest.mark.parametrize("waveform", WAVEFORMS)
+    def test_psd_is_the_filter_power_response(self, waveform, repetition, tmp_path):
+        lines, _ = self._psd(waveform, repetition, 11, tmp_path)
+        assert self._psd(waveform, repetition, 12345, tmp_path)[0] == lines
+        filt = design_filter(waveform, 318.0, 336)
+        closed = dict(zip(filt.subcarriers, analysis.in_band_db(np.abs(filt.coeffs) ** 2)))
+        assert lines[0] == "subcarrier,psd_db"
+        assert [int(ln.split(",")[0]) for ln in lines[1:]] == list(range(-256, 256))
+        for line in lines[1:]:
+            k, v = line.split(",")
+            assert v == f"{closed.get(int(k), -3000.0):.6f}"  # guard bins: the floor
+
+    # Each periodogram bin averages K powers |c_k X_k|^2 with |X_k|^2 close to
+    # exponential, so in dB it scatters about |c_k|^2 with rms
+    # sigma = 10/ln(10)/sqrt(K) = 4.34/sqrt(K) dB.  Over the M/R independent
+    # data bins (84 at R = 4) the measured rms is within 30% of sigma, and the
+    # mean offset, which the in-band normalization sets, within sigma/2.
+    @pytest.mark.parametrize("repetition", [1, 4])
+    @pytest.mark.parametrize("waveform", WAVEFORMS)
+    def test_psd_agrees_with_the_periodogram(self, waveform, repetition, tmp_path):
+        k_frames = 1000
+        frame = FrameConfig(repetition=repetition)
+        body = render_frames(design_filter(waveform, 318.0, 336), k_frames, 7, frame)
+        diff = (analysis.psd(body, 512, k_frames)
+                - self._psd(waveform, repetition, 11, tmp_path)[1])[frame.bins]
+        sigma = 10.0 / math.log(10.0) / math.sqrt(k_frames)
+        assert math.sqrt(np.mean(diff**2)) <= 1.3 * sigma
+        assert abs(np.mean(diff)) <= 0.5 * sigma
 
     def test_papr_checks_every_waveform_design(self, tmp_path, capsys):
         # the config's own plain filter is fine; the triangular one is not
@@ -524,6 +560,26 @@ class TestOutputs:
         assert captured.out == ""
         assert not out.parent.exists()
 
+    def test_unwritable_out_fails_before_the_sweep(self, plain_config, tmp_path, monkeypatch,
+                                                   capsys):
+        def sweep_not_expected(cfg):
+            pytest.fail("the sweep ran before the output was claimed")
+
+        monkeypatch.setattr(cli.simulation, "run_ber_sweep", sweep_not_expected)
+        out = tmp_path / "missing" / "x.csv"
+        assert cli.main(["ber", "--config", str(plain_config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
+
+    def test_interrupted_work_leaves_no_temporary(self, plain_config, tmp_path, monkeypatch):
+        def interrupted_sweep(cfg):
+            assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".chirplink-")]
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli.simulation, "run_ber_sweep", interrupted_sweep)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["ber", "--config", str(plain_config), "--out", str(tmp_path / "ber.csv")])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
+
     def test_synthesize_writes_both_files_or_neither(self, plain_config, tmp_path, capsys):
         (tmp_path / "s_spectrogram.csv").mkdir()
         rc = cli.main(["synthesize", "--config", str(plain_config), "--data", "0=1",
@@ -588,11 +644,13 @@ class TestOutputs:
 
         monkeypatch.setattr(analysis, "papr", papr_failing_after_first_waveform)
         out = tmp_path / "papr.csv"
+        out.write_text("earlier run\n")
         rc = cli.main(["analyze", "--config", str(plain_config), "--mode", "papr",
                        "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err == "error: papr failed\n"
-        assert not out.exists()
+        assert out.read_text() == "earlier run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["papr.csv", "run.yaml"]
 
 
 class TestConfigValidation:
@@ -611,6 +669,16 @@ class TestConfigValidation:
         rc = cli.main(["ber", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
         assert rc == 1
         assert "jitter" in capsys.readouterr().err
+
+    def test_psd_frames_is_an_unknown_key(self, tmp_path, capsys):
+        cfg = tmp_path / "old.yaml"
+        cfg.write_text(BASE_CONFIG.format(waveform="plain") + "analysis:\n  psd_frames: 1000\n")
+        out = tmp_path / "psd.csv"
+        rc = cli.main(["analyze", "--config", str(cfg), "--mode", "psd", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: invalid config:") and "'psd_frames' was unexpected" in err
+        assert not out.exists()
 
     def test_float_for_integer_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"

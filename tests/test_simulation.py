@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -97,10 +98,41 @@ class TestLinkConfig:
                      id="nan_deviation"),
         pytest.param({"waveform": "plain", "deviation": 0.0}, "deviation", id="zero_deviation"),
         pytest.param({"n_harmonics": 0}, "n_harmonics", id="zero_harmonics"),
+        pytest.param({"waveform": "triangular", "n_harmonics": 10**20}, "n_harmonics",
+                     id="huge_harmonics"),
     ])
     def test_unrunnable_config_fails_at_construction(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
             LinkConfig(**kwargs)
+
+    def test_harmonics_bound(self):
+        bound = simulation.MAX_HARMONICS
+        simulation.design_filter("plain", 4.0, 8, bound)
+        with pytest.raises(ValueError, match=f"^n_harmonics must be <= {bound}, got {bound + 1}$"):
+            simulation.design_filter("triangular", 4.0, 8, bound + 1)
+
+    @pytest.mark.parametrize("grid", [np.array([0.0]), np.array([0.0, 1.0])],
+                             ids=["array_of_one_zero", "array_of_two"])
+    def test_grid_takes_any_real_sequence(self, grid):
+        cfg = LinkConfig(ebn0_grid_db=grid, min_bits=10_000, max_frames=16)
+        assert cfg.ebn0_grid_db == tuple(float(e) for e in grid)
+        assert len(run_ber_sweep(cfg).points) == len(grid)
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_frames", 20.5), ("seed", 1.5), ("min_bits", 20_000.0), ("min_errors", True),
+        ("n_harmonics", 64.0),
+    ])
+    def test_count_must_be_an_integer(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
+            LinkConfig(**{field: value})
+
+    def test_numpy_integer_counts_run(self):
+        frame = FrameConfig(subcarriers=np.int64(48), idft_size=np.int32(64), cp_len=np.int64(8),
+                            repetition=np.int16(4))
+        cfg = LinkConfig(frame=frame, ebn0_grid_db=(8.0,), min_bits=np.int64(10_000),
+                         min_errors=np.int32(1), max_frames=np.int64(16), seed=np.uint8(3),
+                         n_harmonics=np.int64(64))
+        assert run_ber_sweep(cfg).points[0].frame_count == 16
 
 
 class TestSweep:

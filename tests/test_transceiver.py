@@ -1,5 +1,7 @@
 """Modulator/receiver chain: mapping laws, normalization, MMSE round trips."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -474,6 +476,15 @@ class TestFrameConfig:
         np.testing.assert_array_equal(guarded, [7, 0, 1, 2])
         full = FrameConfig(subcarriers=8, idft_size=8, cp_len=2).bins
         np.testing.assert_array_equal(full, [5, 6, 7, 0, 1, 2, 3, 4])
+
+    # a float or bool is not a count, even a whole one
+    @pytest.mark.parametrize("field, value", [
+        ("subcarriers", 336.0), ("repetition", 2.0), ("subcarriers", True),
+        ("cp_len", np.float64(96.0)), ("idft_size", np.bool_(True)),
+    ])
+    def test_count_must_be_an_integer(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
+            FrameConfig(**{field: value})
 
     def test_validation(self):
         with pytest.raises(ValueError):
