@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import require_number, require_numbers
+
 
 @dataclass(frozen=True)
 class ChannelProfile:
@@ -26,10 +28,8 @@ class ChannelProfile:
     tap_delays: tuple = (0, 1, 2)
 
     def __post_init__(self):
-        if not all(float(d).is_integer() for d in self.tap_delays):
-            raise ValueError(f"tap_delays must be whole samples, got {list(self.tap_delays)}")
-        powers = tuple(float(p) for p in self.tap_powers_db)
-        delays = tuple(int(d) for d in self.tap_delays)
+        powers = tuple(float(p) for p in require_numbers("tap_powers_db", self.tap_powers_db))
+        delays = require_numbers("tap_delays", self.tap_delays, count=True)
         object.__setattr__(self, "tap_powers_db", powers)
         object.__setattr__(self, "tap_delays", delays)
         if len(powers) != len(delays) or not powers:
@@ -40,6 +40,7 @@ class ChannelProfile:
             b <= a for a, b in zip(delays, delays[1:])
         ):
             raise ValueError("tap_delays must be non-negative and strictly increasing")
+        require_number("rician_k", self.rician_k)
         if not (np.isfinite(self.rician_k) and self.rician_k >= 0):
             raise ValueError(f"rician_k must be finite and >= 0, got {self.rician_k}")
 

@@ -6,24 +6,25 @@ place that writes a file: a command claims all its outputs before its work
 and writes all of them or none after it.  Exit codes: 0 on success, 1 on
 usage/config errors, 2 when any BER point under-converged.
 
-The config schema checks only the file's shape: its keys, nesting and YAML
-types.  Every range and cross-field rule belongs to the dataclass that
-holds the field, which raises ``ValueError`` naming it.  ``main`` is the one
-place that turns a ``ValueError`` (``UsageError`` is one) into an
-``error: ...`` message on stderr and exit code 1, so no command writes a
-file or a traceback for invalid input or an unwritable output path.
+``load_config`` checks only the file's shape: its sections, keys and
+required keys.  Every value's type, range and cross-field rule belongs to
+the dataclass that holds the field, which raises ``ValueError`` naming it.
+``main`` is the one place that turns a ``ValueError`` (``UsageError`` is
+one) into an ``error: ...`` message on stderr and exit code 1, so no
+command writes a file or a traceback for invalid input or an unwritable
+output path.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import os
 import stat
 import sys
 import tempfile
 
-import jsonschema
 import numpy as np
 import yaml
 
@@ -31,6 +32,7 @@ from . import __version__
 from . import analysis, simulation, transceiver
 from .channel import ChannelProfile
 from .fdss import DEFAULT_DEVIATION
+from .numerics import require_numbers
 from .simulation import LinkConfig, WAVEFORMS, design_filter
 from .transceiver import DataFrame, FrameConfig
 
@@ -40,73 +42,26 @@ EXIT_UNDERCONVERGED = 2
 
 
 class UsageError(ValueError):
-    """Invalid flags or an unreadable, malformed or schema-invalid config file."""
+    """Invalid flags, or a config file that cannot be read, is not YAML or has the wrong shape."""
 
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["waveform"],
-    "properties": {
-        "waveform": {"type": "string"},
-        "deviation": {"type": "number"},
-        "n_harmonics": {"type": "integer"},
-        "frame": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "subcarriers": {"type": "integer"},
-                "idft_size": {"type": "integer"},
-                "cp_len": {"type": "integer"},
-                "repetition": {"type": "integer"},
-            },
-        },
-        "channel": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["type"],
-            "properties": {
-                "type": {"enum": ["awgn", "multipath"]},
-                "tap_powers_db": {"type": "array", "items": {"type": "number"}},
-                "rician_k": {"type": "number"},
-                "tap_delays": {"type": "array", "items": {"type": "integer"}},
-            },
-        },
-        "sweep": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "ebn0_db": {"type": "array", "items": {"type": "number"}},
-                "min_bits": {"type": "integer"},
-                "min_errors": {"type": "integer"},
-                "max_frames": {"type": "integer"},
-                "seed": {"type": "integer"},
-            },
-        },
-        # no dataclass holds this one, so its bound stays here
-        "analysis": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "snr_db": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-            },
-        },
-    },
+#: The keys of each config section, the top level under ``None``.
+_SECTION_KEYS = {
+    None: {"waveform", "deviation", "n_harmonics", "frame", "channel", "sweep", "analysis"},
+    "frame": {f.name for f in dataclasses.fields(FrameConfig)},
+    "channel": {"type"} | {f.name for f in dataclasses.fields(ChannelProfile)},
+    "sweep": {"ebn0_db", "min_bits", "min_errors", "max_frames", "seed"},
+    "analysis": {"snr_db"},
 }
 
 
-# YAML integers only: the dataclasses take config values as given, and a
-# float such as ``seed: 5.0`` would pass the stock "integer" check.
-_StrictValidator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool)
-    ),
-)
-
-
 def load_config(path) -> dict:
-    """Read and schema-validate a YAML run configuration."""
+    """Read a YAML run configuration and check its shape.
+
+    Each section is a mapping of known keys, ``waveform`` is required, and
+    a ``channel`` needs a ``type`` of ``awgn`` or ``multipath``.  The
+    values are left to the dataclasses, which check their types and ranges.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
@@ -116,40 +71,55 @@ def load_config(path) -> dict:
         raise UsageError(f"malformed YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError("config must be a mapping")
-    validator = _StrictValidator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
-    if errors:
-        lines = []
-        for err in errors:
-            where = "/".join(str(p) for p in err.absolute_path) or "<root>"
-            lines.append(f"  {where}: {err.message}")
-        raise UsageError("invalid config:\n" + "\n".join(lines))
+    for section, keys in _SECTION_KEYS.items():
+        table = raw if section is None else raw.get(section, {})
+        if not isinstance(table, dict):
+            raise UsageError(f"invalid config: {section} must be a mapping, got {table!r}")
+        unknown = [k for k in table if k not in keys]
+        if unknown:
+            where = f"{section}/" if section else ""
+            raise UsageError(f"invalid config: unknown key {where}{unknown[0]}")
+    if "waveform" not in raw:
+        raise UsageError("invalid config: waveform is required")
+    channel = raw.get("channel", {"type": "awgn"})
+    if "type" not in channel:
+        raise UsageError("invalid config: channel/type is required")
+    if channel["type"] not in ("awgn", "multipath"):
+        raise UsageError(f"invalid config: channel/type must be awgn or multipath,"
+                         f" got {channel['type']!r}")
     return raw
 
 
 def link_config_from(raw: dict) -> LinkConfig:
-    """Sweep configuration from a schema-valid config mapping.
+    """Sweep configuration from a config mapping of ``load_config``'s shape.
 
     Only the keys the config sets are passed on, so every default and rule
     lives in the dataclasses.  Invalid values, the ``snrpost`` grid's
     included, raise ``ValueError``, so no command starts on a bad config.
+    The channel keys make a ``ChannelProfile`` for AWGN too, so they are
+    checked whatever the type.
     """
     frame = FrameConfig(**raw.get("frame", {}))
     snr_grid(raw, frame.repetition)
     channel = dict(raw.get("channel", {"type": "awgn"}))
-    profile = None if channel.pop("type") == "awgn" else ChannelProfile(**channel)
+    awgn = channel.pop("type") == "awgn"
+    profile = ChannelProfile(**channel)
     sweep = {("ebn0_grid_db" if k == "ebn0_db" else k): v for k, v in raw.get("sweep", {}).items()}
     top = {k: raw[k] for k in ("waveform", "deviation", "n_harmonics") if k in raw}
-    return LinkConfig(frame=frame, channel_profile=profile, **top, **sweep)
+    return LinkConfig(frame=frame, channel_profile=None if awgn else profile, **top, **sweep)
 
 
-def snr_grid(raw: dict, repetition: int) -> tuple[list, np.ndarray]:
+def snr_grid(raw: dict, repetition: int) -> tuple[tuple, np.ndarray]:
     """The ``analyze --mode snrpost`` grid: values in dB and linear SNRs.
 
-    Raises ``ValueError`` naming ``snr_db`` unless ``analysis.usable_snr``
-    admits every linear SNR at the frame's repetition factor.
+    Raises ``ValueError`` naming ``analysis/snr_db`` unless it is a
+    nonempty list of numbers and ``analysis.usable_snr`` admits every
+    linear SNR at the frame's repetition factor.
     """
-    grid_db = raw.get("analysis", {}).get("snr_db", list(np.arange(-10.0, 31.0, 2.0)))
+    grid_db = raw.get("analysis", {}).get("snr_db", np.arange(-10.0, 31.0, 2.0))
+    grid_db = require_numbers("analysis/snr_db", grid_db)
+    if not grid_db:
+        raise ValueError("analysis/snr_db must be nonempty")
     snr = [simulation.db_to_linear(s) for s in grid_db]
     bad = [s for s, v in zip(grid_db, snr) if not analysis.usable_snr(v, repetition)]
     if bad:

@@ -17,15 +17,45 @@ agree with a direct Fourier-integral evaluation.
 multiplies any number of Fourier series given as coefficient arrays
 centred on index 0, as one FFT product over a length that holds the
 whole linear convolution, so the circular product cannot wrap around.
+
+``require_number`` and ``require_numbers`` are the one type check of a
+config value: the numbers of ``FrameConfig``, ``ChannelProfile`` and
+``LinkConfig`` and the ``design_filter`` arguments go through them.
 """
 
 from __future__ import annotations
+
+import numbers
+from collections.abc import Sequence
 
 import numpy as np
 from scipy import special as _special
 from scipy.fft import next_fast_len
 
 _MAX_ARG = 1e6
+
+
+def require_number(name: str, value, count: bool = False):
+    """Return ``value`` if it is a real number, or an integer if ``count``.
+
+    Otherwise raise ``ValueError`` naming ``name``.  Python and numpy
+    numbers pass; a bool, a str, None or a date does not, and a float is
+    not a count, even a whole one.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if count else numbers.Real):
+        raise ValueError(f"{name} must be {'an integer' if count else 'a real number'}, got {value!r}")
+    return value
+
+
+def require_numbers(name: str, values, count: bool = False) -> tuple:
+    """``values``, a 1-d sequence or numpy array, as a tuple checked by :func:`require_number`.
+
+    A str, a scalar or a mapping is no such sequence: ``ValueError`` naming ``name``.
+    """
+    sequence = isinstance(values, Sequence) and not isinstance(values, (str, bytes))
+    if not (sequence or isinstance(values, np.ndarray) and values.ndim == 1):
+        raise ValueError(f"{name} must be a 1-d sequence or array, got {values!r}")
+    return tuple(require_number(name, v, count) for v in values)
 
 
 def bessel_j_sequence(max_order: int, x: float) -> np.ndarray:

@@ -37,7 +37,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import analysis, channel, fdss, transceiver
-from .transceiver import DataFrame, FrameConfig, _require_counts
+from .numerics import require_number, require_numbers
+from .transceiver import DataFrame, FrameConfig
 
 WAVEFORMS = ("plain", "linear", "sinusoidal", "triangular")
 
@@ -59,6 +60,9 @@ def design_filter(
     n_harmonics: int = TRIANGULAR_HARMONICS,
 ) -> fdss.FdssFilter:
     """Build the shaping filter for one of the named waveforms."""
+    require_number("deviation", deviation)
+    require_number("subcarriers", m, count=True)
+    require_number("n_harmonics", n_harmonics, count=True)
     if not (np.isfinite(deviation) and deviation > 0):
         raise ValueError(f"deviation must be finite and > 0, got {deviation}")
     if n_harmonics < 1:
@@ -97,8 +101,10 @@ class LinkConfig:
     n_harmonics: int = TRIANGULAR_HARMONICS
 
     def __post_init__(self):
-        _require_counts(self, "min_bits", "min_errors", "max_frames", "seed", "n_harmonics")
-        object.__setattr__(self, "ebn0_grid_db", tuple(float(e) for e in self.ebn0_grid_db))
+        for name in ("min_bits", "min_errors", "max_frames", "seed"):
+            require_number(name, getattr(self, name), count=True)
+        grid = require_numbers("ebn0_grid_db (config sweep/ebn0_db)", self.ebn0_grid_db)
+        object.__setattr__(self, "ebn0_grid_db", tuple(float(e) for e in grid))
         if not self.ebn0_grid_db:
             raise ValueError("ebn0_grid_db (config sweep/ebn0_db) must be nonempty")
         r = self.frame.repetition

@@ -33,7 +33,6 @@ Conventions fixed here because they matter for reproducibility:
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,18 +40,6 @@ import numpy as np
 
 from . import numerics
 from .fdss import FdssFilter, band_limits
-
-
-def _require_counts(obj, *names) -> None:
-    """Raise ``ValueError`` naming the first field of ``names`` that is not an integer.
-
-    A bool or a float is not a count, even a whole one; Python and numpy
-    integers are.
-    """
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -70,7 +57,8 @@ class FrameConfig:
     repetition: int = 1
 
     def __post_init__(self):
-        _require_counts(self, "subcarriers", "idft_size", "cp_len", "repetition")
+        for name in ("subcarriers", "idft_size", "cp_len", "repetition"):
+            numerics.require_number(name, getattr(self, name), count=True)
         m, n = self.subcarriers, self.idft_size
         if not 1 <= m <= n:
             raise ValueError(f"need 1 <= subcarriers <= idft_size, got {m} and {n}")

@@ -7,6 +7,7 @@ import stat
 
 import numpy as np
 import pytest
+import yaml
 
 from chirplink import __version__, analysis, cli, fdss
 from chirplink.channel import ChannelProfile
@@ -38,7 +39,7 @@ def _multipath(taps: str) -> str:
 
 
 # One invalid value each, with the field its error must name; every one is
-# valid YAML of the schema's shape, and must fail at the config boundary.
+# of a valid shape and type, and must fail at the config boundary.
 INVALID_CONFIGS = {
     "repetition_not_dividing_m": ("repetition",
                                   BASE_CONFIG.replace("repetition: 1", "repetition: 5")),
@@ -55,7 +56,7 @@ INVALID_CONFIGS = {
     "inf_ebn0": ("ebn0_db", BASE_CONFIG.replace("ebn0_db: [5.0, 6.0]", "ebn0_db: [.inf]")),
     "inf_rician_k": ("rician_k", _multipath("rician_k: .inf")),
     "nan_rician_k": ("rician_k", _multipath("rician_k: .nan")),
-    # ranges the dataclasses own and the schema does not restate
+    # more ranges the dataclasses own
     "unknown_waveform": ("waveform", BASE_CONFIG.replace("{waveform}", "zigzag")),
     "zero_deviation": ("deviation", BASE_CONFIG.replace("deviation: 318.0", "deviation: 0")),
     "negative_deviation": ("deviation", BASE_CONFIG.replace("deviation: 318.0", "deviation: -1")),
@@ -68,6 +69,9 @@ INVALID_CONFIGS = {
     "zero_repetition": ("repetition", BASE_CONFIG.replace("repetition: 1", "repetition: 0")),
     "empty_taps": ("tap_powers_db", _multipath("tap_powers_db: []; tap_delays: []")),
     "negative_rician_k": ("rician_k", _multipath("rician_k: -1")),
+    # an AWGN config's channel keys are checked too, though unused
+    "awgn_negative_rician_k": ("rician_k", BASE_CONFIG.replace("type: awgn",
+                                                               "type: awgn\n  rician_k: -1")),
     "negative_tap_delay": ("tap_delays", _multipath("tap_powers_db: [0.0]; tap_delays: [-1]")),
     "empty_ebn0": ("ebn0_db", BASE_CONFIG.replace("ebn0_db: [5.0, 6.0]", "ebn0_db: []")),
     # finite Eb/N0 whose rho overflows to inf, or underflows to 0
@@ -94,6 +98,45 @@ INVALID_CONFIGS["tiny_snr_db_r4"] = ("analysis/snr_db", BASE_CONFIG.replace(
     "repetition: 1", "repetition: 4") + "analysis:\n  snr_db: [-3080]\n")
 BAD_SNR_GRIDS = sorted(case for case, (field, _) in INVALID_CONFIGS.items()
                        if field.endswith("snr_db"))
+
+
+# One value of each YAML type; each config key below takes none of them
+# (waveform takes a string, but not this one).
+WRONG_VALUES = {"string": "318", "bool": True, "null": None, "list": [1], "mapping": {"a": 1},
+                "date": yaml.safe_load("2020-01-01")}
+SCALAR_KEYS = ["waveform", "deviation", "n_harmonics", "frame/subcarriers", "frame/idft_size",
+               "frame/cp_len", "frame/repetition", "channel/type", "channel/rician_k",
+               "sweep/min_bits", "sweep/min_errors", "sweep/max_frames", "sweep/seed"]
+LIST_KEYS = ["channel/tap_powers_db", "channel/tap_delays", "sweep/ebn0_db", "analysis/snr_db"]
+
+
+def _wrong_type_cases():
+    """(id, key its error must name, config text) for each wrong type of each key.
+
+    A list key gets every wrong value but a list, and a list of each.  The
+    channel keys sit under ``type: awgn``, which must check them too.
+    """
+    for path in SCALAR_KEYS + LIST_KEYS:
+        values = dict(WRONG_VALUES)
+        if path in LIST_KEYS:
+            del values["list"]
+            values.update({f"list_of_{kind}": [v] for kind, v in WRONG_VALUES.items()})
+        for kind, value in values.items():
+            raw = yaml.safe_load(BASE_CONFIG.format(waveform="plain"))
+            *section, key = path.split("/")
+            (raw.setdefault(section[0], {}) if section else raw)[key] = value
+            yield f"{path}={kind}", key, yaml.safe_dump(raw)
+    for section in ("frame", "channel", "sweep", "analysis"):
+        for kind, value in (("scalar", 5), ("null", None)):
+            raw = yaml.safe_load(BASE_CONFIG.format(waveform="plain"))
+            raw[section] = value
+            yield f"{section}={kind}", section, yaml.safe_dump(raw)
+    yield "channel_without_type", "type", BASE_CONFIG.format(waveform="plain").replace(
+        "type: awgn", "rician_k: 1")
+    yield "top_level_list", "config", "- waveform: plain\n"
+
+
+WRONG_TYPE_CASES = {case: (key, text) for case, key, text in _wrong_type_cases()}
 
 
 @pytest.fixture
@@ -677,7 +720,7 @@ class TestConfigValidation:
         rc = cli.main(["analyze", "--config", str(cfg), "--mode", "psd", "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 1
-        assert err.startswith("error: invalid config:") and "'psd_frames' was unexpected" in err
+        assert err == "error: invalid config: unknown key analysis/psd_frames\n"
         assert not out.exists()
 
     def test_float_for_integer_rejected(self, tmp_path, capsys):
@@ -685,7 +728,7 @@ class TestConfigValidation:
         cfg.write_text(BASE_CONFIG.format(waveform="plain").replace("seed: 11", "seed: 11.0"))
         rc = cli.main(["ber", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
         assert rc == 1
-        assert "sweep/seed" in capsys.readouterr().err
+        assert "seed" in capsys.readouterr().err
 
     def test_malformed_yaml(self, tmp_path):
         cfg = tmp_path / "broken.yaml"
@@ -709,6 +752,23 @@ class TestConfigValidation:
             assert rc == 1
             assert err.startswith("error:") and err.count("\n") == 1
             assert field in err
+            assert "Traceback" not in err
+            assert not out.exists()
+
+    # the gate that the dataclasses and load_config hold every rule of the old
+    # config schema: a wrong type anywhere is a usage error naming its key
+    @pytest.mark.parametrize("case", sorted(WRONG_TYPE_CASES))
+    def test_wrong_type_is_a_usage_error(self, case, tmp_path, capsys):
+        key, text = WRONG_TYPE_CASES[case]
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(text)
+        out = tmp_path / "x.csv"
+        for command in (["ber"], ["analyze", "--mode", "snrpost"]):
+            rc = cli.main([*command, "--config", str(cfg), "--out", str(out)])
+            err = capsys.readouterr().err
+            assert rc == 1
+            assert [ln.startswith("error:") for ln in err.splitlines()].count(True) == 1
+            assert key in err
             assert "Traceback" not in err
             assert not out.exists()
 

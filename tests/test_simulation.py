@@ -135,6 +135,48 @@ class TestLinkConfig:
         assert run_ber_sweep(cfg).points[0].frame_count == 16
 
 
+class TestTypeBoundary:
+    """Each number a caller passes is type-checked where it enters, by field name."""
+
+    @pytest.mark.parametrize("grid", [5.0, "12", ["a"], [True], np.array([[1.0, 2.0]])],
+                             ids=["scalar", "str", "str_value", "bool_value", "2d_array"])
+    def test_ebn0_grid(self, grid):
+        with pytest.raises(ValueError, match=r"^ebn0_grid_db \(config sweep/ebn0_db\) must be"):
+            LinkConfig(ebn0_grid_db=grid)
+
+    @pytest.mark.parametrize("deviation", ["x", True])
+    def test_link_deviation(self, deviation):
+        with pytest.raises(ValueError, match="^deviation must be a real number"):
+            LinkConfig(deviation=deviation)
+
+    @pytest.mark.parametrize("args, field", [
+        (("plain", 318.0, 336.0), "subcarriers"),
+        (("triangular", 318.0, 336, 64.0), "n_harmonics"),
+        (("plain", "318", 336), "deviation"),
+    ], ids=["float_m", "float_harmonics", "str_deviation"])
+    def test_design_filter(self, args, field):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            simulation.design_filter(*args)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"rician_k": None}, "rician_k"),
+        ({"tap_powers_db": "ab"}, "tap_powers_db"),
+        ({"tap_powers_db": (0.0, -3.0), "tap_delays": (0, 1.0)}, "tap_delays"),
+        ({"tap_powers_db": (0.0, -3.0), "tap_delays": (False, True)}, "tap_delays"),
+    ], ids=["none_k", "str_powers", "float_delay", "bool_delays"])
+    def test_channel_profile(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ChannelProfile(**kwargs)
+
+    def test_numpy_numbers_pass(self):
+        design = simulation.design_filter("triangular", np.float32(318.0), np.int64(336),
+                                          np.int16(64))
+        np.testing.assert_array_equal(design.coeffs,
+                                      simulation.design_filter("triangular", 318.0, 336).coeffs)
+        profile = ChannelProfile(np.array([0.0, -3.0]), np.float64(2.0), np.array([0, 4]))
+        assert profile == ChannelProfile((0.0, -3.0), 2.0, (0, 4))
+
+
 class TestSweep:
     def test_deterministic_and_matches_theory(self):
         cfg = LinkConfig(
