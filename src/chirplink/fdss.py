@@ -8,9 +8,9 @@ a bank of M circularly time-shifted chirps.  This module provides:
 * ``design_plain``       flat (all-ones) reference filter,
 * ``design_sinusoidal``  closed form via Bessel functions of the first kind,
 * ``design_linear``      closed form via Fresnel integrals,
-* ``design_arbitrary``   any periodic frequency trajectory, as the product
-  of upsampled Bessel coefficient sequences (one per trajectory harmonic),
-  convolved in one FFT product,
+* ``design_arbitrary``   any periodic frequency trajectory, as one FFT of
+  the sampled chirp (the paper's product of Bessel factors, one per
+  trajectory harmonic, evaluated by the convolution theorem),
 * ``triangular_trajectory``  the classic down-then-up triangular sweep.
 
 Every design returns coefficients rescaled to ``sum |c_k|^2 = M`` so that
@@ -26,15 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from . import numerics
 
 #: Default frequency-deviation parameter; with M = 336 subcarriers it keeps
 #: the chirp spectrum essentially inside the occupied band.
 DEFAULT_DEVIATION = 318.0
-
-#: Bessel orders whose magnitude falls below this are cut from a harmonic factor.
-BESSEL_TAIL_EPS = 1e-12
 
 #: Points of the uniform phase grid on which a trajectory's slope span is checked.
 SLOPE_GRID = 4096
@@ -203,18 +201,20 @@ class ChirpTrajectory:
         return len(self.cos_coeffs)
 
     def _grid_slope(self) -> np.ndarray:
-        """df/dx on the grid x_l = 2 pi l / SLOPE_GRID, by one inverse FFT.
-
-        df/dx = Re sum_n (n b_n + j n a_n) e^{j n x}.  On the grid, harmonic n
-        is indistinguishable from n mod SLOPE_GRID, so every harmonic is
-        folded onto that bin before the unscaled inverse transform.
-        """
+        """df/dx = Re sum_n (n b_n + j n a_n) e^{j n x} on the ``SLOPE_GRID``-point grid."""
         n = np.arange(1, self.n_harmonics + 1)
-        bins = n % SLOPE_GRID
-        spectrum = np.bincount(bins, n * self.sin_coeffs, SLOPE_GRID) + 1j * np.bincount(
-            bins, n * self.cos_coeffs, SLOPE_GRID
-        )
-        return np.fft.ifft(spectrum, norm="forward").real
+        return _series_on_grid(n * (self.sin_coeffs + 1j * self.cos_coeffs), SLOPE_GRID).real
+
+
+def _series_on_grid(coeffs: np.ndarray, size: int) -> np.ndarray:
+    """sum_n coeffs[n-1] e^{j n x_l} on the grid x_l = 2 pi l / size, by one inverse FFT.
+
+    On the grid, harmonic n is indistinguishable from n mod size, so every
+    harmonic is folded onto that bin before the unscaled inverse transform.
+    """
+    bins = np.arange(1, len(coeffs) + 1) % size
+    spectrum = np.bincount(bins, coeffs.real, size) + 1j * np.bincount(bins, coeffs.imag, size)
+    return np.fft.ifft(spectrum, norm="forward")
 
 
 def triangular_trajectory(
@@ -241,51 +241,25 @@ def triangular_trajectory(
     return ChirpTrajectory(0.0, np.zeros(n_harmonics), b, deviation)
 
 
-def _harmonic_factor(harmonic: int, z: float, phi: float) -> np.ndarray:
-    """Centred coefficient array of exp(j z sin(n x + phi)), z >= 0.
-
-    By the Jacobi-Anger expansion the order-m coefficient is J_m(z) e^{j m phi};
-    it sits at subcarrier index n*m (the factor has period 2*pi/n, so its
-    spectrum lives on multiples of n).  Orders whose |J_m(z)| falls below
-    ``BESSEL_TAIL_EPS`` are cut.
-    """
-    max_order = int(np.ceil(z)) + 40 + int(6 * z ** (1 / 3))
-    seq = numerics.bessel_j_sequence(max_order, z)
-    keep = np.nonzero(np.abs(seq[max_order:]) >= BESSEL_TAIL_EPS)[0]
-    m_max = int(keep[-1]) if len(keep) else 0
-    orders = np.arange(-m_max, m_max + 1)
-    out = np.zeros(2 * m_max * harmonic + 1, dtype=complex)
-    out[::harmonic] = seq[max_order - m_max : max_order + m_max + 1] * np.exp(1j * phi * orders)
-    return out
-
-
 def design_arbitrary(traj: ChirpTrajectory, m: int) -> FdssFilter:
     """Shaping filter for an arbitrary periodic trajectory.
 
-    The chirp exponential factors over the trajectory harmonics.  Harmonic n
-    contributes exp(j (D/2)(a_n cos nx + b_n sin nx)) = exp(j z sin(nx + phi))
-    with z = (D/2) hypot(a_n, b_n) and phi = atan2(a_n, b_n): one upsampled
-    Bessel coefficient sequence.  The filter is the convolution of all factor
-    sequences, taken in one FFT product by :func:`numerics.convolve_full`,
-    restricted to the occupied band.  A harmonic with z = 0 is a Kronecker
-    delta and is skipped; every other one keeps its orders down to
-    ``BESSEL_TAIL_EPS``, the one truncation.  The energy lost by restricting
-    to the band (one minus the in-band energy, by Parseval) is reported as
-    ``truncation_loss`` so callers can detect overflow.
+    The filter is the in-band Fourier series of the chirp exp(j (D/2) f(x)).
+    The paper writes it as a product of Bessel factors, one per harmonic, all
+    convolved; by the convolution theorem that product is the spectrum of the
+    sampled chirp, so this takes one FFT of the chirp on the grid
+    x_l = 2 pi l / size with
+
+        size = next_fast_len(4 * max(m, ceil(D) + 2 * n_harmonics)),
+
+    wide enough that the chirp's spectrum does not alias onto the band.  The
+    grid holds the whole unit-modulus chirp, so the energy lost by
+    restricting to the band (one minus the in-band energy, by Parseval) is
+    reported as ``truncation_loss`` and callers can detect overflow.
     """
     lo, hi = band_limits(m)
     _check_deviation(traj.deviation, m)
-    half_dev = traj.deviation / 2.0
-    factors = []
-    for n, (a, b) in enumerate(zip(traj.cos_coeffs, traj.sin_coeffs), start=1):
-        z = half_dev * np.hypot(a, b)
-        if z > 0:
-            factors.append(_harmonic_factor(n, z, np.arctan2(a, b)))
-    seq = numerics.convolve_full(*factors)
-    phase = np.exp(1j * traj.deviation * traj.a0 / 4.0)
-    # seq is centred on index 0; zero-pad it to cover the band, then cut the band out.
-    half = len(seq) // 2
-    pad = max(0, max(-lo, hi) - half)
-    centre = half + pad
-    raw = phase * np.pad(seq, pad)[centre + lo : centre + hi + 1]
-    return _from_fourier(raw, m)
+    size = next_fast_len(4 * max(m, int(np.ceil(traj.deviation)) + 2 * traj.n_harmonics))
+    f = traj.a0 / 2.0 + _series_on_grid(traj.cos_coeffs - 1j * traj.sin_coeffs, size).real
+    spectrum = np.fft.fft(np.exp(0.5j * traj.deviation * f), norm="forward")
+    return _from_fourier(spectrum[np.arange(lo, hi + 1) % size], m)

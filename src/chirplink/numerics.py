@@ -36,14 +36,20 @@ _MAX_ARG = 1e6
 
 
 def require_number(name: str, value, count: bool = False):
-    """Return ``value`` if it is a real number, or an integer if ``count``.
+    """Return ``value`` if it is a real number a float can hold, or an integer if ``count``.
 
     Otherwise raise ``ValueError`` naming ``name``.  Python and numpy
-    numbers pass; a bool, a str, None or a date does not, and a float is
-    not a count, even a whole one.
+    numbers pass; a bool, a str, None or a date does not, a float is not a
+    count, even a whole one, and an integer too large for a float (1 followed
+    by 400 zeros) is no real number.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral if count else numbers.Real):
         raise ValueError(f"{name} must be {'an integer' if count else 'a real number'}, got {value!r}")
+    if not count:
+        try:
+            float(value)
+        except OverflowError:
+            raise ValueError(f"{name} must be a real number, got one too large for a float") from None
     return value
 
 

@@ -45,8 +45,8 @@ WAVEFORMS = ("plain", "linear", "sinusoidal", "triangular")
 #: Default number of trajectory harmonics for the triangular design.
 TRIANGULAR_HARMONICS = 64
 
-#: Most trajectory harmonics a design takes: the triangular design's cost
-#: grows about 7x per doubling of them (README gives measured times).
+#: Most trajectory harmonics a design takes: the documented config range,
+#: over which the tests check the triangular design against its oracle.
 MAX_HARMONICS = 256
 
 #: Frames per block of the Monte Carlo loop; fixes the random stream.

@@ -4,7 +4,12 @@ import math
 
 import numpy as np
 
+from chirplink import numerics
+from chirplink.fdss import band_limits
 from chirplink.transceiver import DataFrame, modulate
+
+#: Bessel orders whose magnitude falls below this are cut from a harmonic factor.
+BESSEL_TAIL_EPS = 1e-16
 
 
 def piecewise_triangle(x):
@@ -15,6 +20,43 @@ def piecewise_triangle(x):
     """
     x = np.mod(np.asarray(x, dtype=float) + np.pi, 2 * np.pi) - np.pi
     return np.where(x < 0, x**2 / np.pi + x, -(x**2) / np.pi + x)
+
+
+def _harmonic_factor(harmonic, z, phi):
+    """Centred coefficient array of exp(j z sin(n x + phi)), z > 0, n = ``harmonic``.
+
+    By the Jacobi-Anger expansion the order-m coefficient is J_m(z) e^{j m phi};
+    it sits at index n*m (the factor has period 2 pi/n).  Orders whose
+    |J_m(z)| falls below ``BESSEL_TAIL_EPS`` are cut.
+    """
+    max_order = int(np.ceil(z)) + 40 + int(6 * z ** (1 / 3))
+    seq = numerics.bessel_j_sequence(max_order, z)
+    m_max = int(np.nonzero(np.abs(seq[max_order:]) >= BESSEL_TAIL_EPS)[0][-1])
+    orders = np.arange(-m_max, m_max + 1)
+    out = np.zeros(2 * m_max * harmonic + 1, dtype=complex)
+    out[::harmonic] = seq[max_order - m_max : max_order + m_max + 1] * np.exp(1j * phi * orders)
+    return out
+
+
+def bessel_product(traj, m):
+    """Unit-power in-band coefficients of exp(j (D/2) f(x)) by the paper's Bessel product.
+
+    Harmonic n contributes exp(j (D/2)(a_n cos nx + b_n sin nx)) = exp(j z sin(nx + phi))
+    with z = (D/2) hypot(a_n, b_n) and phi = atan2(a_n, b_n): one upsampled
+    Bessel coefficient sequence.  The chirp's Fourier series is the linear
+    convolution of all of them (``numerics.convolve_full``) times the constant
+    phase exp(j D a0/4), cut to the band k = l_down .. l_up of ``m`` subcarriers.
+    """
+    half_dev = traj.deviation / 2.0
+    factors = [
+        _harmonic_factor(n, half_dev * np.hypot(a, b), np.arctan2(a, b))
+        for n, (a, b) in enumerate(zip(traj.cos_coeffs, traj.sin_coeffs), start=1)
+        if np.hypot(a, b) > 0
+    ]
+    seq = np.pad(numerics.convolve_full(*factors), m)  # zeros past the last kept order
+    lo, hi = band_limits(m)
+    raw = seq[len(seq) // 2 + np.arange(lo, hi + 1)] * np.exp(1j * traj.deviation * traj.a0 / 4.0)
+    return raw * np.sqrt(m / np.sum(np.abs(raw) ** 2))
 
 
 def nmse_db(x, ref, optimize_scale: bool = True) -> float:

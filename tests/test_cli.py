@@ -38,6 +38,8 @@ def _multipath(taps: str) -> str:
     return BASE_CONFIG.replace("type: awgn", "type: multipath\n  " + taps.replace("; ", "\n  "))
 
 
+HUGE_INT = "1" + "0" * 400
+
 # One invalid value each, with the field its error must name; every one is
 # of a valid shape and type, and must fail at the config boundary.
 INVALID_CONFIGS = {
@@ -85,10 +87,17 @@ INVALID_CONFIGS = {
     "zero_max_frames": ("max_frames", BASE_CONFIG.replace("max_frames: 4000", "max_frames: 0")),
     "memory_beyond_cp": ("cp_len", _multipath("tap_delays: [0, 1, 2]").replace(
         "cp_len: 96", "cp_len: 1")),
+    # a YAML integer too large for a float
+    "huge_int_ebn0": ("ebn0_db", BASE_CONFIG.replace("ebn0_db: [5.0, 6.0]", f"ebn0_db: [{HUGE_INT}]")),
+    "huge_int_deviation": ("deviation", BASE_CONFIG.replace("deviation: 318.0",
+                                                            f"deviation: {HUGE_INT}")),
+    "huge_int_rician_k": ("rician_k", _multipath(f"rician_k: {HUGE_INT}")),
+    "huge_int_tap_powers": ("tap_powers_db",
+                            _multipath(f"tap_powers_db: [0.0, {HUGE_INT}]; tap_delays: [0, 1]")),
 }
 # snrpost grid values whose linear SNR 10^(s/10) overflows, is not finite or underflows to 0
 BAD_SNR_DB = {"huge_snr_db": "4000.0", "inf_snr_db": ".inf", "nan_snr_db": ".nan",
-              "tiny_snr_db": "-4000.0"}
+              "tiny_snr_db": "-4000.0", "huge_int_snr_db": HUGE_INT}
 INVALID_CONFIGS.update(
     (case, ("snr_db", BASE_CONFIG + f"analysis:\n  snr_db: [0.0, {value}]\n"))
     for case, value in BAD_SNR_DB.items()
@@ -179,7 +188,7 @@ class TestDesign:
         np.testing.assert_array_equal(back[:, 1] + 1j * back[:, 2], lib.coeffs)
 
     # sha256 of the whole CSV for (waveform, deviation, subcarriers, harmonics):
-    # the designs are closed forms, so a refactor must keep every byte.
+    # each design is deterministic, so a refactor must keep every byte.
     PINNED_CSV = {
         ("plain", 318, 336, 64):
             "b8628dd32356284975d429a62992bffe8d13515e46564db1085a234cbcd2c511",
@@ -188,9 +197,9 @@ class TestDesign:
         ("sinusoidal", 318, 336, 64):
             "140f572fd88086da0b93f847c5a15401249134844d6a3240052b34c9c0a3e73f",
         ("triangular", 318, 336, 64):
-            "2054c210fc4e44648d10ded21f68c01bc37a4fbaa8236b272cdbe7092c6f4835",
+            "d227b288cc389cd9435deccf5d6d818d3e1f2b7143433a2ddd60225aec46fe7c",
         ("triangular", 318, 336, 41):
-            "a74fb133eb80988c8d5e51dbc6a7be8bab1626253e1fd512e0214e179cd51817",
+            "c530fd46ccc4f8c11584340e09da9b05ca997ef323dc4ba204004c443aa7d541",
         ("plain", 24, 48, 64):
             "f1d5677d440bf6a64d3b93d69c2b4c772098c35d8bf3e0fadf50e5225084c6a1",
         ("linear", 24, 48, 64):
@@ -198,7 +207,7 @@ class TestDesign:
         ("sinusoidal", 24, 48, 64):
             "10ef14368aeac00e2957dfee5c08a0cacfd0647e993627250a770e4f116b1c3e",
         ("triangular", 24, 48, 64):
-            "2b0294f4f2b843d92593055a2315523685ade13ce54cf47a500e9b5a9d7ee2ba",
+            "1fe5f22dae7b33140021d7853adcf7439211f34c63aee4dd132afe505ed6d1f1",
     }
 
     @pytest.mark.parametrize("waveform, deviation, subcarriers, harmonics",
@@ -754,6 +763,21 @@ class TestConfigValidation:
             assert field in err
             assert "Traceback" not in err
             assert not out.exists()
+
+    # the command the huge-integer failures were found under; the message is
+    # short, so the 401 digits are not echoed
+    @pytest.mark.parametrize("case", sorted(c for c in INVALID_CONFIGS if c.startswith("huge_int")))
+    def test_huge_integer_is_named_not_echoed(self, case, tmp_path, capsys):
+        field, text = INVALID_CONFIGS[case]
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(text.replace("{waveform}", "plain"))
+        out = tmp_path / "x.csv"
+        rc = cli.main(["analyze", "--mode", "snrpost", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and err.count("\n") == 1 and field in err
+        assert err.endswith(" must be a real number, got one too large for a float\n")
+        assert not out.exists()
 
     # the gate that the dataclasses and load_config hold every rule of the old
     # config schema: a wrong type anywhere is a usage error naming its key

@@ -1,10 +1,13 @@
-"""Filter designs against closed-form cross-oracles and sampled-chirp oracles."""
+"""Filter designs against closed-form cross-oracles, sampled-chirp oracles and the Bessel product."""
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
+from scipy.fft import next_fast_len
 
 from chirplink import fdss
 from chirplink.fdss import (
@@ -16,7 +19,7 @@ from chirplink.fdss import (
     design_sinusoidal,
     triangular_trajectory,
 )
-from oracles import nmse_db, piecewise_triangle
+from oracles import bessel_product, nmse_db, piecewise_triangle
 
 M, N, D = 336, 512, 318.0
 
@@ -195,6 +198,38 @@ class TestArbitrary:
             ref = design_sinusoidal(dev, M)
             assert np.max(np.abs(arb.coeffs - ref.coeffs)) < 1e-9
 
+    @pytest.mark.parametrize("dev", [1.0, 10.0, D])
+    def test_one_harmonic_is_sinusoidal_to_roundoff(self, dev):
+        traj = ChirpTrajectory(0.0, np.zeros(1), np.array([1.0]), dev)
+        arb = design_arbitrary(traj, M)
+        assert np.max(np.abs(arb.coeffs - design_sinusoidal(dev, M).coeffs)) < 1e-13
+
+    # the paper's closed form: one Bessel factor per harmonic, all convolved
+    @pytest.mark.parametrize("n_harmonics", [41, 64, 128, 256])
+    @pytest.mark.parametrize("dev_fraction", [0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("m", [12, 48, 96, 336, 480])
+    def test_triangular_matches_bessel_product(self, m, dev_fraction, n_harmonics):
+        traj = triangular_trajectory(n_harmonics, deviation=dev_fraction * m)
+        filt = design_arbitrary(traj, m)
+        assert np.max(np.abs(filt.coeffs - bessel_product(traj, m))) < 1e-12
+
+    @pytest.mark.parametrize("n_harmonics", [41, 64, 256])
+    @pytest.mark.parametrize("m, dev", [(12, 1.0), (12, 10.0), (336, 1.0), (336, 10.0),
+                                        (336, D), (336, 336.0)])
+    def test_doubled_grid_changes_nothing(self, m, dev, n_harmonics, monkeypatch):
+        traj = triangular_trajectory(n_harmonics, deviation=dev)
+        ref = design_arbitrary(traj, m).coeffs
+        sizes = []
+
+        def doubled(n):
+            sizes.append(2 * next_fast_len(n))
+            return sizes[-1]
+
+        monkeypatch.setattr(fdss, "next_fast_len", doubled)
+        filt = design_arbitrary(traj, m)
+        assert sizes == [2 * next_fast_len(4 * max(m, math.ceil(dev) + 2 * n_harmonics))]
+        assert np.max(np.abs(filt.coeffs - ref)) < 1e-13
+
     def test_pure_cosine_matches_rotated_bessel(self):
         traj = ChirpTrajectory(0.0, np.array([1.0]), np.zeros(1), 10.0)
         filt = design_arbitrary(traj, 64)
@@ -239,8 +274,8 @@ class TestArbitrary:
         assert np.max(np.abs(filt.coeffs - oversampled_oracle(a, b, dev, filt))) < 1e-9
 
     def test_tiny_harmonic_kept(self):
-        # z = (D/2) * 1e-9 = 5e-9 on harmonic 2: only z = 0 may skip a factor,
-        # so its J_1(z) ~ z/2 terms stay and the oracle bound holds
+        # z = (D/2) * 1e-9 = 5e-9 on harmonic 2: its J_1(z) ~ z/2 terms stay
+        # in the sampled chirp, so the oracle bound holds
         a, b, dev = np.zeros(2), np.array([1.0, 1e-9]), 10.0
         filt = design_arbitrary(ChirpTrajectory(0.0, a, b, dev), 64)
         assert np.max(np.abs(filt.coeffs - oversampled_oracle(a, b, dev, filt))) < 1e-9

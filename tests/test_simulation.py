@@ -168,6 +168,20 @@ class TestTypeBoundary:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             ChannelProfile(**kwargs)
 
+    # a YAML integer that no float holds: a short message naming the field, not 401 digits
+    @pytest.mark.parametrize("make, field", [
+        (lambda big: LinkConfig(ebn0_grid_db=(5.0, big)), "ebn0_grid_db (config sweep/ebn0_db)"),
+        (lambda big: LinkConfig(deviation=big), "deviation"),
+        (lambda big: ChannelProfile(rician_k=big), "rician_k"),
+        (lambda big: ChannelProfile(tap_powers_db=(0.0, big), tap_delays=(0, 1)), "tap_powers_db"),
+        (lambda big: simulation.design_filter("plain", big, 336), "deviation"),
+    ], ids=["ebn0", "link_deviation", "rician_k", "tap_powers", "design_deviation"])
+    @pytest.mark.parametrize("big", [10**400, -(10**400)], ids=["positive", "negative"])
+    def test_integer_too_large_for_a_float(self, make, field, big):
+        message = f"{field} must be a real number, got one too large for a float"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make(big)
+
     def test_numpy_numbers_pass(self):
         design = simulation.design_filter("triangular", np.float32(318.0), np.int64(336),
                                           np.int16(64))
