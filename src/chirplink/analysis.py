@@ -24,14 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fdss import FdssFilter
+from .numerics import require_number
 from .transceiver import _fold
 
 
 @dataclass(frozen=True)
 class SnrPostReport:
-    """``snr_post`` results; arrays of the SNR grid's shape for an array input.
+    """``snr_post`` results for one SNR.
 
-    The inputs (SNR grid, repetition factor) are the caller's and are not
+    The inputs (SNR, repetition factor) are the caller's and are not
     echoed back.
     """
 
@@ -49,53 +50,40 @@ def usable_snr(snr: float, repetition: int) -> bool:
     return 0.0 < snr < math.inf and 0.0 < repetition / float(snr) < math.inf
 
 
-def snr_post(filt: FdssFilter, snr, repetition: int = 1) -> SnrPostReport:
-    """Post-equalization, post-despreading SNR for a shaping filter.
+def snr_post(filt: FdssFilter, snr: float, repetition: int = 1) -> SnrPostReport:
+    """Post-equalization, post-despreading SNR for a shaping filter, as floats.
 
     Over AWGN the filter is the effective channel (``equalize``'s ``gain``):
     g_k folds |c|^2 over the R copies as ``equalize`` folds |gain|^2.
-    ``snr`` is the combined-level SNR (per-subcarrier SNR times the
-    repetition factor); every value must pass ``usable_snr``.  A scalar
-    gives a report of floats, an array a report of arrays of its shape,
-    element for element equal to scalar calls.
+    ``snr`` is one combined-level SNR (per-subcarrier SNR times the
+    repetition factor), a real number that must pass ``usable_snr``;
+    ``repetition`` is an integer that divides the band size.  Anything else
+    raises ``ValueError`` naming the argument.
     """
-    r = int(repetition)
+    r = int(require_number("repetition", repetition, count=True))
     if r < 1 or filt.m % r:
         raise ValueError("repetition must divide the filter band size")
-    snr_arr = np.asarray(snr, dtype=float)
-    if not all(usable_snr(s, r) for s in snr_arr.flat):
+    s = float(require_number("snr", snr))  # so r / s is float64 for a numpy float32 snr too
+    if not usable_snr(s, r):
         raise ValueError("snr and repetition/snr must be finite and positive")
     grouped = _fold(np.abs(filt.coeffs) ** 2, r)
-    ratio = grouped / (grouped + r / snr_arr[..., None])
-    beta = np.add.reduce(ratio, axis=-1) / ratio.shape[-1]
-    if snr_arr.ndim == 0:  # floats, and ~15% less time per call than the array path
-        beta = float(beta)
-        return SnrPostReport(beta * beta, beta / (1.0 - beta) if beta < 1.0 else math.inf)
-    with np.errstate(divide="ignore"):
-        return SnrPostReport(np.square(beta), beta / (1.0 - beta))  # inf where beta is 1
+    ratio = grouped / (grouped + r / s)
+    beta = float(np.add.reduce(ratio) / ratio.size)
+    return SnrPostReport(beta * beta, beta / (1.0 - beta) if beta < 1.0 else math.inf)
 
 
-def _ber_qpsk(snr_post_value: float) -> float:
-    if snr_post_value < 0:
-        raise ValueError("snr_post must be >= 0")
-    return 0.5 * math.erfc(math.sqrt(snr_post_value / 2.0))
-
-
-# math.erfc element by element: scipy.special.erfc is up to ~1e-14 off in
-# relative terms where math.erfc stays within ~3e-16.
-_ber_qpsk_array = np.frompyfunc(_ber_qpsk, 1, 1)
-
-
-def theoretical_ber_qpsk(snr_post_value):
-    """Uncoded Gray-QPSK bit error rate Q(sqrt(SNR_post)).
+def theoretical_ber_qpsk(snr_post_value: float) -> float:
+    """Uncoded Gray-QPSK bit error rate Q(sqrt(SNR_post)) for one SNR_post >= 0.
 
     With symbol SNR rho, each quadrature rail carries rho/2 against noise
     variance rho-normalized likewise, so the per-bit error is Q(sqrt(rho)).
-    A scalar gives a float, an array an array of its shape.
+    Anything but a real number >= 0 (a NaN, an array) raises ``ValueError``
+    naming ``snr_post``.
     """
-    if np.ndim(snr_post_value) == 0:
-        return _ber_qpsk(float(snr_post_value))
-    return _ber_qpsk_array(np.asarray(snr_post_value, dtype=float)).astype(float)
+    x = float(require_number("snr_post", snr_post_value))
+    if not x >= 0:  # NaN fails too
+        raise ValueError(f"snr_post must be >= 0, got {x}")
+    return 0.5 * math.erfc(math.sqrt(x / 2.0))
 
 
 def psd(signal, nfft: int, n_avg: int) -> np.ndarray:
@@ -139,4 +127,7 @@ def papr(signal) -> float:
     if x.size == 0:
         raise ValueError("empty signal")
     p = np.abs(x) ** 2
-    return float(10.0 * np.log10(p.max() / p.mean()))
+    mean = p.mean()
+    if not 0.0 < mean < math.inf:  # NaN fails too
+        raise ValueError("signal must be finite and not all zero")
+    return float(10.0 * np.log10(p.max() / mean))

@@ -109,7 +109,7 @@ def link_config_from(raw: dict) -> LinkConfig:
     return LinkConfig(frame=frame, channel_profile=None if awgn else profile, **top, **sweep)
 
 
-def snr_grid(raw: dict, repetition: int) -> tuple[tuple, np.ndarray]:
+def snr_grid(raw: dict, repetition: int) -> tuple[tuple, list]:
     """The ``analyze --mode snrpost`` grid: values in dB and linear SNRs.
 
     Raises ``ValueError`` naming ``analysis/snr_db`` unless it is a
@@ -125,7 +125,7 @@ def snr_grid(raw: dict, repetition: int) -> tuple[tuple, np.ndarray]:
     if bad:
         raise ValueError(f"analysis/snr_db values {bad} do not give an SNR s with s and R/s"
                          f" finite and positive (R = {repetition})")
-    return grid_db, np.array(snr)
+    return grid_db, snr
 
 
 def _echo_header(raw: dict) -> str:
@@ -266,11 +266,11 @@ def cmd_analyze(args) -> int:
     with _outputs(args.out) as texts:
         if args.mode == "snrpost":
             grid_db, snr = snr_grid(raw, frame.repetition)
-            rep = analysis.snr_post(filt, snr, frame.repetition)
-            post_db = 10.0 * np.log10(rep.snr_post)  # inf where saturated
+            reps = [analysis.snr_post(filt, s, frame.repetition) for s in snr]
+            post_db = 10.0 * np.log10([r.snr_post for r in reps])  # inf where saturated
             lines = [f"# repetition: {frame.repetition}\n", "snr_db,snr_post_db,alpha_mmse\n"]
-            for s, p, alpha in zip(grid_db, post_db, rep.alpha_mmse):
-                lines.append(f"{s:.6f},{p:.6f},{alpha:.9e}\n")
+            for s, p, r in zip(grid_db, post_db, reps):
+                lines.append(f"{s:.6f},{p:.6f},{r.alpha_mmse:.9e}\n")
         elif args.mode == "psd":
             power = np.zeros(frame.idft_size)  # iid unit-power data: E|X_k|^2 = 1 on every bin
             power[frame.bins] = np.abs(filt.coeffs) ** 2

@@ -95,9 +95,14 @@ class FdssFilter:
         return float(mags.max() / lo)
 
 
+def _band(m: int) -> tuple[int, int]:
+    """``band_limits`` at a design's entry, with ``m`` checked to be an integer."""
+    return band_limits(numerics.require_number("subcarriers", m, count=True))
+
+
 def design_plain(m: int) -> FdssFilter:
     """All-ones filter: plain DFT-spread-OFDM, no spectral shaping."""
-    band_limits(m)  # the designs' band-size rule, before np.ones sees m
+    _band(m)  # the designs' band-size rule, before np.ones sees m
     return FdssFilter(np.ones(m, dtype=complex))
 
 
@@ -113,6 +118,7 @@ def _from_fourier(raw: np.ndarray, m: int) -> FdssFilter:
 
 
 def _check_deviation(deviation: float, m: int) -> None:
+    numerics.require_number("deviation", deviation)
     if not np.isfinite(deviation):
         raise ValueError("deviation must be finite")
     if deviation > m:
@@ -125,7 +131,7 @@ def design_sinusoidal(deviation: float, m: int) -> FdssFilter:
     The Fourier coefficients of exp(j (D/2) sin theta) are J_k(D/2), so the
     raw filter is the Bessel sequence over the occupied band.
     """
-    lo, hi = band_limits(m)  # hi >= -lo, so orders -hi..hi cover the band
+    lo, hi = _band(m)  # hi >= -lo, so orders -hi..hi cover the band
     _check_deviation(deviation, m)
     if deviation < 0:
         raise ValueError("deviation must be >= 0")
@@ -145,10 +151,10 @@ def design_linear(deviation: float, m: int) -> FdssFilter:
     with x1 = (D - 2k)/sqrt(2D), x2 = (D + 2k)/sqrt(2D) and C, S the
     pi/2-normalized Fresnel integrals of :func:`chirplink.numerics.fresnel`.
     """
-    lo, hi = band_limits(m)
+    lo, hi = _band(m)
+    _check_deviation(deviation, m)
     if deviation <= 0:
         raise ValueError("deviation must be > 0")
-    _check_deviation(deviation, m)
     d = float(deviation)
     ks = np.arange(lo, hi + 1)
     c1, s1 = numerics.fresnel((d - 2 * ks) / np.sqrt(2 * d))
@@ -184,6 +190,7 @@ class ChirpTrajectory:
             raise ValueError("cos_coeffs and sin_coeffs must be 1-d arrays of equal length >= 1")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and np.isfinite(self.a0)):
             raise ValueError("trajectory coefficients must be finite")
+        numerics.require_number("deviation", self.deviation)
         if not (np.isfinite(self.deviation) and self.deviation > 0):
             raise ValueError("deviation must be positive")
         object.__setattr__(self, "cos_coeffs", a)
@@ -233,7 +240,7 @@ def triangular_trajectory(
     so about 41 harmonics are needed to satisfy the trajectory normalization
     check; ``simulation.TRIANGULAR_HARMONICS`` leaves comfortable margin.
     """
-    if n_harmonics < 1:
+    if numerics.require_number("n_harmonics", n_harmonics, count=True) < 1:
         raise ValueError("n_harmonics must be >= 1")
     n = np.arange(1, n_harmonics + 1)
     # (4 - 2 pi n sin(pi n) - 4 cos(pi n)) / (pi^2 n^3) at integer n, exactly
@@ -257,7 +264,7 @@ def design_arbitrary(traj: ChirpTrajectory, m: int) -> FdssFilter:
     restricting to the band (one minus the in-band energy, by Parseval) is
     reported as ``truncation_loss`` and callers can detect overflow.
     """
-    lo, hi = band_limits(m)
+    lo, hi = _band(m)
     _check_deviation(traj.deviation, m)
     size = next_fast_len(4 * max(m, int(np.ceil(traj.deviation)) + 2 * traj.n_harmonics))
     f = traj.a0 / 2.0 + _series_on_grid(traj.cos_coeffs - 1j * traj.sin_coeffs, size).real

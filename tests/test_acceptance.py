@@ -50,9 +50,12 @@ def theory_crossing(waveform, repetition, target=1e-3):
     """Eb/N0 where the closed-form BER crosses the target."""
     filt = design_filter(waveform, D, M)
     grid = np.arange(0.0, 25.0, 0.01)
-    bers = analysis.theoretical_ber_qpsk(
-        analysis.snr_post(filt, 2.0 * 10.0 ** (grid / 10.0), repetition).snr_post
-    )
+    bers = np.array([
+        analysis.theoretical_ber_qpsk(
+            analysis.snr_post(filt, 2.0 * 10.0 ** (e / 10.0), repetition).snr_post
+        )
+        for e in grid
+    ])
     idx = int(np.argmax(bers < target))
     x0, x1 = grid[idx - 1], grid[idx]
     y0, y1 = np.log10(bers[idx - 1]), np.log10(bers[idx])

@@ -1,12 +1,15 @@
 """Effective-SNR theory, BER law, and the PSD/spectrogram/PAPR diagnostics."""
 
 import math
+import numbers
+import re
 import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from chirplink import analysis
 from chirplink.analysis import (
@@ -19,7 +22,7 @@ from chirplink.analysis import (
 )
 from chirplink.fdss import design_plain
 from chirplink.simulation import WAVEFORMS, design_filter
-from chirplink.transceiver import DataFrame, FrameConfig, modulate
+from chirplink.transceiver import DataFrame, FrameConfig, _fold, modulate
 from oracles import piecewise_triangle, render_frames
 
 CFG = FrameConfig()
@@ -29,6 +32,22 @@ FILTERS = {name: design_filter(name, D, M) for name in
            ("plain", "linear", "sinusoidal", "triangular")}
 
 SNR_GRID_DB = np.arange(-10.0, 31.0, 1.0)
+
+# anything a caller might pass as one SNR or repetition factor
+ANY_ARGUMENT = st.one_of(
+    st.integers(-2, 12),
+    st.sampled_from([10**400, -(10**400), 2**1024 - 1, 2**70]),
+    st.floats(allow_subnormal=True),  # NaN and +-inf included
+    st.sampled_from([5e-324, 1e-308, 1e308]),
+    st.booleans(),
+    st.text(max_size=4),
+    st.none(),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(1, 8).map(np.int32),
+    st.lists(st.floats(0.0, 1e3), max_size=3).map(np.array),
+    st.floats(1e-3, 1e3).map(np.array),
+)
 
 
 def single_chirp(name, cfg=CFG):
@@ -107,33 +126,50 @@ class TestSnrPost:
             snr_post(FILTERS["plain"], 0.0, 1)
         with pytest.raises(ValueError):
             snr_post(FILTERS["plain"], 10.0, 5)
-        for bad in (np.array([1.0, 0.0]), np.array([1.0, np.inf]), np.array([[np.nan]])):
-            with pytest.raises(ValueError):
+        for bad in (-1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="^snr and repetition/snr"):
                 snr_post(FILTERS["plain"], bad, 1)
-        for bad in (1e-308, np.array([1.0, 1e-308])):  # R/snr overflows at R = 4
-            with pytest.raises(ValueError, match="repetition/snr"):
-                snr_post(FILTERS["plain"], bad, 4)
+        # one SNR per call: an array is rejected by name, not evaluated
+        for bad in (np.array([1.0, 0.0]), np.array([1.0, np.inf]), np.array([[np.nan]]),
+                    np.array(10.0)):
+            with pytest.raises(ValueError, match="^snr must be a real number"):
+                snr_post(FILTERS["plain"], bad, 1)
+        with pytest.raises(ValueError, match="repetition/snr"):  # R/snr overflows at R = 4
+            snr_post(FILTERS["plain"], 1e-308, 4)
+        for bad in (2.5, "2", True, np.array(2)):  # not floored or parsed to R = 2
+            with pytest.raises(ValueError, match="^repetition must be an integer"):
+                snr_post(design_plain(8), 10.0, bad)
 
     @pytest.mark.parametrize("name", list(FILTERS))
     @pytest.mark.parametrize("repetition", [1, 4])
     def test_array_equals_scalar_calls(self, name, repetition):
-        # the first three underflow alpha = beta^2 to 0 while snr_post stays
-        # positive; the last three saturate (beta = 1, snr_post = inf) for
-        # the flat filter
+        # the scalar calls against the closed form evaluated over the whole
+        # grid at once as numpy arrays, value for value.  The first three
+        # underflow alpha = beta^2 to 0 while snr_post stays positive; the
+        # last three saturate (beta = 1, snr_post = inf) for the flat filter
         snr = np.concatenate([[1e-300, 1e-250, 1e-200],
                               10.0 ** (np.linspace(-30.0, 60.0, 240) / 10.0), [1e17, 1e20, 1e300]])
-        report = snr_post(FILTERS[name], snr.reshape(3, -1), repetition)
-        assert report.alpha_mmse.shape == report.snr_post.shape == (3, len(snr) // 3)
         singles = [snr_post(FILTERS[name], float(s), repetition) for s in snr]
-        np.testing.assert_array_equal(report.alpha_mmse.ravel(), [r.alpha_mmse for r in singles])
-        np.testing.assert_array_equal(report.snr_post.ravel(), [r.snr_post for r in singles])
-        assert (report.snr_post > 0).all()
+        alpha = np.array([r.alpha_mmse for r in singles])
+        post = np.array([r.snr_post for r in singles])
+        g = _fold(np.abs(FILTERS[name].coeffs) ** 2, repetition)
+        ratio = g / (g + repetition / snr[:, None])
+        beta = np.add.reduce(ratio, axis=-1) / ratio.shape[-1]
+        below = beta < 1
+        np.testing.assert_array_equal(alpha, beta**2)
+        np.testing.assert_array_equal(post[below], beta[below] / (1.0 - beta[below]))
+        assert np.isinf(post[~below]).all()
+        assert (alpha[:3] == 0).all() and (post > 0).all()
         if name == "plain":
-            assert np.isinf(report.snr_post.ravel()[-3:]).all()
+            assert np.isinf(post[-3:]).all()
 
     def test_scalar_gives_floats(self):
         report = snr_post(FILTERS["sinusoidal"], np.float64(10.0), 1)
         assert type(report.alpha_mmse) is float and type(report.snr_post) is float
+        # a numpy float32 SNR is taken at its exact value, not computed in float32
+        filt = FILTERS["sinusoidal"]
+        for s in (np.float32(0.1), np.float32(3e-39)):
+            assert snr_post(filt, s, 4) == snr_post(filt, float(s), 4)
 
     @settings(max_examples=80, deadline=None)
     @given(case=designs_at_usable_snr())
@@ -141,11 +177,25 @@ class TestSnrPost:
         # filterwarnings = error: an overflow or a divide-by-zero fails here too
         filt, r, snr = case
         single = snr_post(filt, snr, r)
-        report = snr_post(filt, np.array([snr]), r)
         assert single.snr_post > 0  # inf where beta rounds to 1
         assert 0 <= single.alpha_mmse <= 1
-        assert report.snr_post[0] == single.snr_post
-        assert report.alpha_mmse[0] == single.alpha_mmse
+        with pytest.raises(ValueError, match="^snr must be a real number"):
+            snr_post(filt, np.array([snr]), r)
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(list(FILTERS)), snr=ANY_ARGUMENT, repetition=ANY_ARGUMENT)
+    def test_any_input_gives_floats_or_a_named_error(self, name, snr, repetition):
+        # filterwarnings = error: a warning, an OverflowError or a TypeError fails here
+        try:
+            report = snr_post(FILTERS[name], snr, repetition)
+        except ValueError as e:
+            assert re.match(r"(snr|repetition)\b", str(e)), str(e)
+            return
+        assert isinstance(snr, numbers.Real) and not isinstance(snr, bool)
+        assert isinstance(repetition, numbers.Integral) and not isinstance(repetition, bool)
+        ber = theoretical_ber_qpsk(report.snr_post)
+        assert type(report.alpha_mmse) is type(report.snr_post) is type(ber) is float
+        assert 0 <= report.alpha_mmse <= 1 and report.snr_post > 0 and 0 <= ber <= 0.5
 
 
 class TestUsableSnr:
@@ -172,13 +222,21 @@ class TestTheoreticalBer:
         assert theoretical_ber_qpsk(math.inf) == 0.0
 
     def test_array_equals_scalar_calls(self):
+        # scipy's erfc over the whole array against the scalar calls, to roundoff
         xs = np.concatenate([np.linspace(0.0, 40.0, 401), [1e3, math.inf]])
-        ber = theoretical_ber_qpsk(xs.reshape(1, -1))
-        assert ber.shape == (1, len(xs)) and ber.dtype == float
-        np.testing.assert_array_equal(ber.ravel(), [theoretical_ber_qpsk(x) for x in xs])
+        ber = [theoretical_ber_qpsk(x) for x in xs]
+        assert all(type(b) is float for b in ber)
+        np.testing.assert_allclose(ber, 0.5 * special.erfc(np.sqrt(xs / 2.0)), rtol=1e-13, atol=0)
         assert type(theoretical_ber_qpsk(np.float64(2.0))) is float
-        with pytest.raises(ValueError):
-            theoretical_ber_qpsk(np.array([1.0, -1.0]))
+        for bad in (np.array([1.0, -1.0]), np.array(1.0), "1.0", True):  # one SNR per call
+            with pytest.raises(ValueError, match="^snr_post must be a real number"):
+                theoretical_ber_qpsk(bad)
+
+    @pytest.mark.parametrize("bad", [-1.0, -math.inf, math.nan, np.float32("nan")],
+                             ids=["negative", "-inf", "nan", "float32_nan"])
+    def test_negative_or_nan_rejected(self, bad):
+        with pytest.raises(ValueError, match="^snr_post must be >= 0"):
+            theoretical_ber_qpsk(bad)
 
     def test_strictly_decreasing(self):
         xs = np.linspace(0.0, 40.0, 200)
@@ -303,3 +361,10 @@ class TestPapr:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             papr(np.array([]))
+
+    @pytest.mark.parametrize("signal", [np.zeros(4), [math.nan, 1.0], [1.0, complex(0.0, math.inf)]],
+                             ids=["zeros", "nan", "inf"])
+    def test_zero_or_non_finite_rejected(self, signal):
+        # no NaN out: a zero-power or non-finite signal has no PAPR
+        with pytest.raises(ValueError, match="^signal must be finite and not all zero"):
+            papr(signal)

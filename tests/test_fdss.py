@@ -333,6 +333,28 @@ class TestFilterInvariants:
         with pytest.raises(ValueError, match=f"^subcarriers must be >= 1, got {m}$"):
             make(m)
 
+    @pytest.mark.parametrize("make, name", [
+        (lambda: design_plain(336.0), "subcarriers"),
+        (lambda: design_sinusoidal(10.0, 48.0), "subcarriers"),
+        (lambda: design_linear(10.0, "48"), "subcarriers"),
+        (lambda: design_arbitrary(triangular_trajectory(64, deviation=4.0), np.float64(48)),
+         "subcarriers"),
+        (lambda: design_sinusoidal("318", 336), "deviation"),
+        (lambda: design_linear("318", 336), "deviation"),
+        (lambda: design_linear(10**400, 336), "deviation"),
+        (lambda: triangular_trajectory(64, deviation=True), "deviation"),
+        (lambda: ChirpTrajectory(sin_coeffs=np.ones(1), deviation=None), "deviation"),
+        (lambda: triangular_trajectory(41.0), "n_harmonics"),
+        (lambda: triangular_trajectory("64"), "n_harmonics"),
+    ], ids=["plain_m_float", "sinusoidal_m_float", "linear_m_str", "arbitrary_m_numpy_float",
+            "sinusoidal_deviation_str", "linear_deviation_str", "linear_deviation_huge_int",
+            "triangular_deviation_bool", "trajectory_deviation_none", "triangular_harmonics_float",
+            "triangular_harmonics_str"])
+    def test_wrong_type_is_named(self, make, name):
+        # a ValueError naming the argument, not a numpy TypeError naming nothing
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            make()
+
     def test_truncation_loss_monotone_in_band_size(self):
         losses = [design_sinusoidal(100.0, m).truncation_loss for m in (104, 128, 168, 336)]
         assert all(a >= b - 1e-15 for a, b in zip(losses, losses[1:]))
