@@ -45,9 +45,12 @@ def usable_snr(snr: float, repetition: int) -> bool:
 
     It is when snr and R/snr are finite and positive (a NaN fails).  R/snr
     is a Python float division, which overflows to inf without the warning
-    a numpy float64 division gives.
+    a numpy float64 division gives.  ``snr`` must be a real number and
+    ``repetition`` an integer; anything else raises ``ValueError`` naming it.
     """
-    return 0.0 < snr < math.inf and 0.0 < repetition / float(snr) < math.inf
+    s = float(require_number("snr", snr))
+    r = require_number("repetition", repetition, count=True)
+    return 0.0 < s < math.inf and 0.0 < r / s < math.inf
 
 
 def snr_post(filt: FdssFilter, snr: float, repetition: int = 1) -> SnrPostReport:
@@ -63,9 +66,9 @@ def snr_post(filt: FdssFilter, snr: float, repetition: int = 1) -> SnrPostReport
     r = int(require_number("repetition", repetition, count=True))
     if r < 1 or filt.m % r:
         raise ValueError("repetition must divide the filter band size")
-    s = float(require_number("snr", snr))  # so r / s is float64 for a numpy float32 snr too
-    if not usable_snr(s, r):
+    if not usable_snr(snr, r):
         raise ValueError("snr and repetition/snr must be finite and positive")
+    s = float(snr)  # so r / s is float64 for a numpy float32 snr too
     grouped = _fold(np.abs(filt.coeffs) ** 2, r)
     ratio = grouped / (grouped + r / s)
     beta = float(np.add.reduce(ratio) / ratio.size)
@@ -122,12 +125,16 @@ def spectrogram(signal, win_len: int = 64, hop: int = 8) -> np.ndarray:
 
 
 def papr(signal) -> float:
-    """Peak-to-average power ratio in dB."""
+    """Peak-to-average power ratio in dB.
+
+    Magnitudes are divided by the peak before they are squared, so every
+    finite signal that is not all zero has a PAPR, at any scale.
+    """
     x = np.asarray(signal, dtype=complex)
     if x.size == 0:
         raise ValueError("empty signal")
-    p = np.abs(x) ** 2
-    mean = p.mean()
-    if not 0.0 < mean < math.inf:  # NaN fails too
+    magnitude = np.abs(x)
+    peak = magnitude.max()
+    if not 0.0 < peak < math.inf:  # NaN fails too
         raise ValueError("signal must be finite and not all zero")
-    return float(10.0 * np.log10(p.max() / mean))
+    return float(10.0 * np.log10(1.0 / np.mean(np.square(magnitude / peak))))

@@ -188,6 +188,7 @@ class ChirpTrajectory:
         b = np.asarray(self.sin_coeffs, dtype=float)
         if a.shape != b.shape or a.ndim != 1 or len(a) < 1:
             raise ValueError("cos_coeffs and sin_coeffs must be 1-d arrays of equal length >= 1")
+        numerics.require_number("a0", self.a0)
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and np.isfinite(self.a0)):
             raise ValueError("trajectory coefficients must be finite")
         numerics.require_number("deviation", self.deviation)

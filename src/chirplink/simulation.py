@@ -5,16 +5,25 @@ Noise calibration: the per-subcarrier SNR is rho = (2/R) * Eb/N0 for QPSK
 unit average power).  Theory curves use the combined-level SNR R*rho, i.e.
 2 * Eb/N0 regardless of R.
 
-The sweep runs in the band.  ``LinkConfig`` keeps the channel memory
-within the CP, so after CP removal and the N-point DFT each occupied bin
-is exactly H_k * X_k + W_k, with X_k the transmit band at the equalizer
-reference plane (``TxSignal.band``).  Time-domain noise of variance
-(N/M)/rho per sample (the unit-power signal sits on M of the N bins) has
-iid unitary-DFT bins of the same variance, and ``demodulate``'s sqrt(M/N)
-scales that by M/N at the reference plane: 1/rho.  So each frame draws
-W_k ~ CN(0, 1/rho) directly on its M occupied bins, and no IDFT, CP,
-channel filtering or receiver DFT runs per frame; the BER has the same
-distribution as the time-domain chain's.
+The sweep runs on the combined bins.  ``LinkConfig`` keeps the channel
+memory within the CP, so after CP removal and the N-point DFT each occupied
+bin is exactly g_k * X_k + W_k at the equalizer reference plane, with
+g_k = H_k * c_k, X_k the spread data on subcarrier k and W_k ~ CN(0, 1/rho)
+iid: time-domain noise of variance (N/M)/rho per sample (the unit-power
+signal sits on M of the N bins) has iid unitary-DFT bins of that variance,
+and ``demodulate``'s sqrt(M/N) scales it by M/N.  The receiver is linear
+(MRC over the R copies, single-tap MMSE, (M/R)-point despreading IDFT), so
+after combining, data bin j holds exactly G_j * X_j plus the sum of
+conj(g_k) * W_k over its copies, with G_j the sum of |g_k|^2.  A block
+therefore goes from its draw straight to those bins: g is the filter over
+AWGN, or the impulse responses times a per-point (L, M) steering matrix
+e^{-2 pi j d k / N} c_k over multipath; no modulator, IDFT, CP, channel
+filter, N-point channel transform or receiver DFT runs per frame.  The
+combined bins are the ones ``equalize`` forms from the time-domain chain,
+so the BER has that chain's distribution; they differ from the modulate /
+channel / ``equalize`` replay of the same draws only by rounding (about
+1e-15), which moves a hard decision only if a symbol lies that close to
+an axis, so this stream's CSV bytes stay as pinned in the tests.
 
 Sweeps are deterministic: every grid point draws its random stream from a
 child of the configured seed, spawned up front in grid order, so results
@@ -36,9 +45,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import analysis, channel, fdss, transceiver
+from . import analysis, channel, fdss, numerics, transceiver
 from .numerics import require_number, require_numbers
-from .transceiver import DataFrame, FrameConfig
+from .transceiver import FrameConfig
 
 WAVEFORMS = ("plain", "linear", "sinusoidal", "triangular")
 
@@ -204,6 +213,40 @@ def _draw_block(cfg: LinkConfig, rng: np.random.Generator, b: int):
     return bits, h, noise
 
 
+def _block_kernel(cfg: LinkConfig, filt: fdss.FdssFilter, rho: float):
+    """``symbols(bits, h, noise)``: the receiver's symbols of one ``_draw_block`` draw.
+
+    The data DFT X, rotated by l_down mod (M/R) as ``transceiver._despread``
+    expects, times the combined gain G, plus the combined noise, both from
+    ``transceiver._combine`` of the band noise sqrt(1/(2 rho)) * (noise[0] +
+    j noise[1]) and the effective channel g: ``filt.coeffs``, or ``h @ steer``
+    with the per-point steering matrix e^{-2 pi j d k / N} c_k (delays d,
+    subcarriers k), so that g = H_k c_k.
+    """
+    frame = cfg.frame
+    n, r = frame.idft_size, frame.repetition
+    shift = filt.l_down % frame.symbols_per_frame
+    noise_scale, noise_var = np.sqrt(0.5 / rho), 1.0 / rho
+    steer = None
+    if cfg.channel_profile is not None:
+        delays = np.arange(cfg.channel_profile.max_delay + 1)[:, None]
+        steer = np.exp(-2j * np.pi * ((delays * filt.subcarriers) % n) / n) * filt.coeffs
+
+    def symbols(bits, h, noise):
+        data = np.roll(numerics.dft(transceiver.qpsk_map(bits)), -shift, axis=-1)
+        gain = filt.coeffs if h is None else h @ steer
+        w = np.empty(noise.shape[1:], dtype=complex)  # the band noise, CN(0, 1/rho)
+        np.multiply(noise[0], noise_scale, out=w.real)
+        np.multiply(noise[1], noise_scale, out=w.imag)
+        combined, combined_gain = transceiver._combine(w, gain, r)
+        if not np.all(np.isfinite(combined_gain)):
+            raise ValueError("channel gain must be finite")
+        combined += combined_gain * data
+        return transceiver._despread(combined, combined_gain, frame, noise_var)
+
+    return symbols
+
+
 def _simulate_point(
     cfg: LinkConfig,
     filt: fdss.FdssFilter,
@@ -212,11 +255,9 @@ def _simulate_point(
 ) -> BerPoint:
     frame = cfg.frame
     rho = ebn0_to_subcarrier_snr(ebn0_db, frame)
-    noise_scale = np.sqrt(0.5 / rho)
     report = analysis.snr_post(filt, frame.repetition * rho, frame.repetition)
     theory = analysis.theoretical_ber_qpsk(report.snr_post)
-    bins = frame.bins
-    gain = filt.coeffs  # the effective channel over AWGN
+    symbols_of = _block_kernel(cfg, filt, rho)
 
     errors = bits_sent = frames = 0
     while frames < cfg.max_frames and (
@@ -224,13 +265,7 @@ def _simulate_point(
     ):
         block = min(FRAME_BLOCK, cfg.max_frames - frames)
         bits, h, noise = _draw_block(cfg, rng, block)
-        rx = transceiver.modulate(DataFrame.from_bits(bits), filt, frame).band
-        if h is not None:
-            h_band = channel.freq_response(h, frame.idft_size)[:, bins]
-            rx, gain = h_band * rx, h_band * filt.coeffs
-        rx.real += noise_scale * noise[0]  # rx is a fresh array
-        rx.imag += noise_scale * noise[1]
-        symbols = transceiver.equalize(rx, gain, frame, 1.0 / rho)
+        symbols = symbols_of(bits, h, noise)
         frame_errors = np.sum(transceiver.qpsk_demap(symbols) != bits, axis=1)
         # Count frames up to the first one that meets both targets.
         cum_errors = errors + np.cumsum(frame_errors)
@@ -256,9 +291,10 @@ def run_ber_sweep(cfg: LinkConfig) -> BerCurve:
 
     Identical configs (seed included) produce bit-identical curves.  Grid
     point i draws from child i of ``SeedSequence(seed)``, in blocks of
-    ``FRAME_BLOCK`` frames drawn by ``_draw_block`` and run in the band
-    (``modulate(...).band``, channel gain, band noise, ``equalize``);
-    frames drawn after a point's stopping frame are not counted.
+    ``FRAME_BLOCK`` frames drawn by ``_draw_block``; each block goes from
+    its draw to the receiver's combined bins (``_block_kernel``) and is
+    despread by the MMSE path ``equalize`` takes; frames drawn after a
+    point's stopping frame are not counted.
     Under-converged points (``max_frames`` ran out before both ``min_bits``
     and ``min_errors`` were met) are flagged on the curve, not raised.
     """

@@ -13,7 +13,9 @@ MMSE equalize, despread with an (M/R)-point IDFT, slice.
 Both chains meet at the equalizer reference plane, the occupied band
 at unit average data power: ``TxSignal.band`` on the way out (the time
 samples are built only when read), ``equalize`` on the way in, after
-``demodulate``'s DFT and band extraction.
+``demodulate``'s DFT and band extraction.  ``equalize`` is MRC
+(``_combine``) then MMSE and despreading (``_despread``); the BER sweep
+forms the combined bins itself and despreads them through ``_despread``.
 
 Every function works along the last axis: one frame is a 1-d array, a
 block of B frames is the same call with a leading axis of length B, and
@@ -242,8 +244,21 @@ def equalize(band, gain, cfg: FrameConfig, noise_var: float) -> np.ndarray:
     gain = np.asarray(gain, dtype=complex)
     if gain.shape not in ((m,), band.shape) or not np.all(np.isfinite(gain)):
         raise ValueError(f"gain must be finite, of shape {(m,)} or {band.shape}, got {gain.shape}")
-    combined = _fold(np.conj(gain) * band, r)
-    combined_gain = _fold(np.abs(gain) ** 2, r)
+    combined, combined_gain = _combine(band, gain, r)
+    return _despread(combined, combined_gain, cfg, noise_var)
+
+
+def _combine(band: np.ndarray, gain: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """MRC over the R copies: the combined values sum conj(gain) * band, their gain |gain|^2.
+
+    Both come back on the M/R combined bins, (..., M) -> (..., M/R).
+    """
+    return _fold(np.conj(gain) * band, r), _fold(np.abs(gain) ** 2, r)
+
+
+def _despread(combined: np.ndarray, combined_gain: np.ndarray, cfg: FrameConfig,
+              noise_var: float) -> np.ndarray:
+    """Single-tap MMSE of the combined bins, then the (M/R)-point despreading IDFT."""
     if noise_var == 0 and not np.all(combined_gain > 0):
         raise ValueError(
             "noise_var = 0 (zero-forcing) needs nonzero combined gain on every bin;"
@@ -252,7 +267,8 @@ def equalize(band, gain, cfg: FrameConfig, noise_var: float) -> np.ndarray:
     equalized = combined * (1.0 / (combined_gain + noise_var))
     # Despread: subcarrier kappa = l_down + i carries bin kappa mod (M/R) of
     # the data DFT, so the combined bins are that DFT rotated by l_down.
-    despread_in = np.roll(equalized, band_limits(m)[0] % (m // r), axis=-1)
+    despread_in = np.roll(equalized, band_limits(cfg.subcarriers)[0] % cfg.symbols_per_frame,
+                          axis=-1)
     return numerics.dft(despread_in, inverse=True)
 
 

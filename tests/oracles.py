@@ -1,12 +1,14 @@
-"""Reference functions the tests compare the package against; no test collects here."""
+"""Reference functions and random inputs the tests share; no test collects here."""
 
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from chirplink import numerics
-from chirplink.fdss import band_limits
-from chirplink.transceiver import DataFrame, modulate
+from chirplink.channel import ChannelProfile
+from chirplink.fdss import FdssFilter, band_limits
+from chirplink.transceiver import DataFrame, FrameConfig, modulate
 
 #: Bessel orders whose magnitude falls below this are cut from a harmonic factor.
 BESSEL_TAIL_EPS = 1e-16
@@ -91,3 +93,26 @@ def render_frames(filt, n_frames, seed, cfg):
             frame, filt, cfg
         ).samples[cfg.cp_len :]
     return out
+
+
+@st.composite
+def numerologies(draw):
+    """(FrameConfig, ChannelProfile or None): M <= N, R | M, CP >= channel memory."""
+    n = draw(st.integers(2, 256))
+    m = draw(st.integers(1, n))
+    r = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+    cp = draw(st.integers(0, n - 1))
+    cfg = FrameConfig(subcarriers=m, idft_size=n, cp_len=cp, repetition=r)
+    if draw(st.booleans()):
+        return cfg, None
+    taps = draw(st.integers(1, min(4, cp + 1)))
+    delays = sorted(draw(st.sets(st.integers(0, cp), min_size=taps, max_size=taps)))
+    powers = draw(st.lists(st.floats(-30.0, 0.0), min_size=taps, max_size=taps))
+    return cfg, ChannelProfile(tuple(powers), draw(st.floats(0.0, 100.0)), tuple(delays))
+
+
+def random_filter(rng, m):
+    """Unit-average-power filter of complex Gaussian coefficients (almost surely no zero bin)."""
+    parts = rng.standard_normal((2, m))
+    coeffs = parts[0] + 1j * parts[1]
+    return FdssFilter(coeffs * np.sqrt(m / np.sum(np.abs(coeffs) ** 2)))

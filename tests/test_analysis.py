@@ -210,6 +210,15 @@ class TestUsableSnr:
         for bad in (math.inf, math.nan, 0.0, -1.0, 5e-324):
             assert not usable_snr(bad, repetition)
 
+    @pytest.mark.parametrize("snr, repetition, name", [
+        ("1", 1, "snr"), (None, 1, "snr"), (np.array([1.0]), 1, "snr"), (True, 1, "snr"),
+        (1.0, "1", "repetition"), (1.0, 2.0, "repetition"), (1.0, None, "repetition"),
+    ])
+    def test_types_checked_by_name(self, snr, repetition, name):
+        kind = "an integer" if name == "repetition" else "a real number"
+        with pytest.raises(ValueError, match=f"^{name} must be {kind}"):
+            usable_snr(snr, repetition)
+
     def test_numpy_float_needs_no_warning(self):
         # a numpy float64 R/snr would warn on overflow; the rule converts first
         assert not usable_snr(np.float64(1e-308), 4)
@@ -361,6 +370,23 @@ class TestPapr:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             papr(np.array([]))
+
+    def test_extreme_scales(self):
+        # the peak is divided out before squaring: no overflow, no underflow to zero
+        assert papr(np.array([1e200, 1.0])) == pytest.approx(10 * math.log10(2), abs=1e-12)
+        assert papr(np.array([1e-170, 1e-170])) == 0.0
+        assert papr(np.array([1e-170, 1e-170j, 0.0])) == pytest.approx(10 * math.log10(1.5))
+
+    @settings(max_examples=100, deadline=None)
+    @given(size=st.integers(1, 600), scale_db=st.floats(-200.0, 200.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_squared_power_formula(self, size, scale_db, seed):
+        # where squaring first neither overflows nor underflows, the plain
+        # 10 log10(max |x|^2 / mean |x|^2) is the oracle
+        parts = np.random.default_rng(seed).standard_normal((2, size))
+        x = (parts[0] + 1j * parts[1]) * 10.0 ** (scale_db / 20.0)
+        p = np.abs(x) ** 2
+        assert abs(papr(x) - 10.0 * np.log10(p.max() / p.mean())) < 1e-12
 
     @pytest.mark.parametrize("signal", [np.zeros(4), [math.nan, 1.0], [1.0, complex(0.0, math.inf)]],
                              ids=["zeros", "nan", "inf"])

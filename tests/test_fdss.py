@@ -146,6 +146,11 @@ class TestTrajectory:
             ChirpTrajectory(0.0, np.zeros(1), np.array([1.2]), 10.0)
         ChirpTrajectory(0.0, np.zeros(1), np.array([1.0]), 10.0)  # ok
 
+    @pytest.mark.parametrize("a0", ["1", None, True, np.array([0.0])])
+    def test_a0_must_be_a_real_number(self, a0):
+        with pytest.raises(ValueError, match="^a0 must be a real number"):
+            ChirpTrajectory(a0=a0, sin_coeffs=np.ones(1))
+
     def test_slope_profile(self):
         traj = triangular_trajectory(64)
         x = np.array([0.0, np.pi / 2, np.pi + 1e-9])

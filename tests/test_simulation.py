@@ -21,6 +21,7 @@ from chirplink.simulation import (
 )
 from chirplink.transceiver import (DataFrame, FrameConfig, demodulate, equalize, modulate,
                                     qpsk_demap)
+from oracles import numerologies, random_filter
 
 
 class TestSnrConversions:
@@ -333,6 +334,11 @@ class TestBlockEngine:
         ("capped", dict(ebn0_grid_db=(11.0,), min_bits=10_000, max_frames=40)),
         ("errors", dict(ebn0_grid_db=(14.0,), min_bits=10_000, min_errors=40,
                         channel_profile=ChannelProfile())),
+        ("errors", dict(frame=FrameConfig(repetition=4), waveform="triangular",
+                        ebn0_grid_db=(10.0,), min_bits=10_000, min_errors=40,
+                        channel_profile=ChannelProfile())),
+        ("errors", dict(waveform="linear", ebn0_grid_db=(14.0,), min_bits=10_000, min_errors=40,
+                        channel_profile=ChannelProfile(tap_delays=(0, 1, 3)))),
     ])
     def test_matches_frame_by_frame_replay(self, stop, kwargs):
         cfg = LinkConfig(seed=12, **kwargs)
@@ -345,6 +351,35 @@ class TestBlockEngine:
             assert point.frame_count > bits_frames and point.error_count >= cfg.min_errors
         else:
             assert point.frame_count == 40 and not point.converged
+
+    @settings(max_examples=60, deadline=None)
+    @given(numerology=numerologies(), count=st.integers(1, simulation.FRAME_BLOCK),
+           snr_db=st.floats(-5.0, 30.0), seed=st.integers(0, 2**32 - 1))
+    def test_kernel_matches_band_chain(self, numerology, count, snr_db, seed):
+        # one block of draws on the combined bins against modulate, the band
+        # channel from freq_response, the band noise and equalize
+        frame, profile = numerology
+        cfg = LinkConfig(frame=frame, channel_profile=profile, ebn0_grid_db=(0.0,))
+        rng = np.random.default_rng(seed)
+        filt = random_filter(rng, frame.subcarriers)
+        bits, h, noise = simulation._draw_block(cfg, rng, count)
+        rho = 10.0 ** (snr_db / 10.0)
+        kernel = simulation._block_kernel(cfg, filt, rho)(bits, h, noise)
+        h_band = np.ones(frame.subcarriers)
+        if h is not None:
+            h_band = channel.freq_response(h, frame.idft_size)[:, frame.bins]
+        band = modulate(DataFrame.from_bits(bits), filt, frame).band
+        rx = h_band * band + np.sqrt(0.5 / rho) * (noise[0] + 1j * noise[1])
+        chain = equalize(rx, h_band * filt.coeffs, frame, 1.0 / rho)
+        assert kernel.shape == chain.shape == (count, frame.symbols_per_frame)
+        assert np.max(np.abs(kernel - chain)) < 1e-12
+
+    def test_non_finite_channel_raises(self, monkeypatch):
+        # a NaN channel must not turn into a silent BER
+        monkeypatch.setattr(channel, "draw", lambda profile, rng, count: np.full((count, 3), np.nan))
+        cfg = LinkConfig(channel_profile=ChannelProfile(), ebn0_grid_db=(10.0,))
+        with pytest.raises(ValueError, match="^channel gain must be finite"):
+            run_ber_sweep(cfg)
 
     @pytest.mark.parametrize("repetition", [1, 4])
     def test_bits_limited_frame_count(self, repetition):
@@ -363,9 +398,12 @@ class TestBlockEngine:
         (dict(waveform="triangular", channel_profile=ChannelProfile(), ebn0_grid_db=(12.0,),
               min_bits=10_000, min_errors=20),
          "b41b5e3df47b3e6c6dbe46353d48228172923ec22b87cf35f438f52459515592"),
+        (dict(frame=FrameConfig(repetition=4), waveform="linear", channel_profile=ChannelProfile(),
+              ebn0_grid_db=(8.0, 12.0), min_bits=10_000, min_errors=40),
+         "5d044df38f0bf1a7c97347e2dc3a613404eec6fd98e8d09e05604c1ff1ba1746"),
     ]
 
-    @pytest.mark.parametrize("kwargs, digest", PINNED_ROWS, ids=["awgn", "multipath"])
+    @pytest.mark.parametrize("kwargs, digest", PINNED_ROWS, ids=["awgn", "multipath", "multipath_r4"])
     def test_stream_pinned(self, kwargs, digest):
         text = run_ber_sweep(LinkConfig(seed=11, **kwargs)).csv_text()
         rows = "".join(ln for ln in text.splitlines(keepends=True) if not ln.startswith("#"))

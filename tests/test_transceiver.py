@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from chirplink import analysis, channel, numerics
 from chirplink.channel import ChannelProfile
-from chirplink.fdss import FdssFilter, design_linear, design_plain, design_sinusoidal
+from chirplink.fdss import design_linear, design_plain, design_sinusoidal
 from chirplink.simulation import design_filter
 from chirplink.transceiver import (
     DataFrame,
@@ -20,6 +20,7 @@ from chirplink.transceiver import (
     qpsk_demap,
     qpsk_map,
 )
+from oracles import numerologies, random_filter
 
 CFG = FrameConfig()
 M, N = CFG.subcarriers, CFG.idft_size
@@ -353,29 +354,6 @@ def time_noise(rng, shape, rho, cfg):
     parts = rng.standard_normal((2,) + shape)
     variance = (cfg.idft_size / cfg.subcarriers) / rho
     return np.sqrt(variance / 2.0) * (parts[0] + 1j * parts[1])
-
-
-@st.composite
-def numerologies(draw):
-    """(FrameConfig, ChannelProfile or None): M <= N, R | M, CP >= channel memory."""
-    n = draw(st.integers(2, 256))
-    m = draw(st.integers(1, n))
-    r = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
-    cp = draw(st.integers(0, n - 1))
-    cfg = FrameConfig(subcarriers=m, idft_size=n, cp_len=cp, repetition=r)
-    if draw(st.booleans()):
-        return cfg, None
-    taps = draw(st.integers(1, min(4, cp + 1)))
-    delays = sorted(draw(st.sets(st.integers(0, cp), min_size=taps, max_size=taps)))
-    powers = draw(st.lists(st.floats(-30.0, 0.0), min_size=taps, max_size=taps))
-    return cfg, ChannelProfile(tuple(powers), draw(st.floats(0.0, 100.0)), tuple(delays))
-
-
-def random_filter(rng, m):
-    """Unit-average-power filter of complex Gaussian coefficients (almost surely no zero bin)."""
-    parts = rng.standard_normal((2, m))
-    coeffs = parts[0] + 1j * parts[1]
-    return FdssFilter(coeffs * np.sqrt(m / np.sum(np.abs(coeffs) ** 2)))
 
 
 class TestRandomNumerologies:
