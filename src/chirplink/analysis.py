@@ -45,12 +45,16 @@ def usable_snr(snr: float, repetition: int) -> bool:
 
     It is when snr and R/snr are finite and positive (a NaN fails).  R/snr
     is a Python float division, which overflows to inf without the warning
-    a numpy float64 division gives.  ``snr`` must be a real number and
-    ``repetition`` an integer; anything else raises ``ValueError`` naming it.
+    a numpy float64 division gives; an R too large for a float fails.
+    ``snr`` must be a real number and ``repetition`` an integer; anything
+    else raises ``ValueError`` naming it.
     """
     s = float(require_number("snr", snr))
-    r = require_number("repetition", repetition, count=True)
-    return 0.0 < s < math.inf and 0.0 < r / s < math.inf
+    r = int(require_number("repetition", repetition, count=True))
+    try:
+        return 0.0 < s < math.inf and 0.0 < r / s < math.inf
+    except OverflowError:  # r / s converts r to a float first
+        return False
 
 
 def snr_post(filt: FdssFilter, snr: float, repetition: int = 1) -> SnrPostReport:
@@ -63,12 +67,11 @@ def snr_post(filt: FdssFilter, snr: float, repetition: int = 1) -> SnrPostReport
     ``repetition`` is an integer that divides the band size.  Anything else
     raises ``ValueError`` naming the argument.
     """
-    r = int(require_number("repetition", repetition, count=True))
-    if r < 1 or filt.m % r:
-        raise ValueError("repetition must divide the filter band size")
-    if not usable_snr(snr, r):
+    if not usable_snr(snr, repetition):
         raise ValueError("snr and repetition/snr must be finite and positive")
-    s = float(snr)  # so r / s is float64 for a numpy float32 snr too
+    r, s = int(repetition), float(snr)  # so r / s is float64 for a numpy float32 snr too
+    if filt.m % r:
+        raise ValueError("repetition must divide the filter band size")
     grouped = _fold(np.abs(filt.coeffs) ** 2, r)
     ratio = grouped / (grouped + r / s)
     beta = float(np.add.reduce(ratio) / ratio.size)

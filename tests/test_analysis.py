@@ -219,6 +219,13 @@ class TestUsableSnr:
         with pytest.raises(ValueError, match=f"^{name} must be {kind}"):
             usable_snr(snr, repetition)
 
+    def test_repetition_too_large_for_a_float(self):
+        # R/snr cannot be a finite float; no OverflowError from the division
+        assert not usable_snr(1.0, 10**400)
+        assert usable_snr(1e300, 10**300)
+        with pytest.raises(ValueError, match="^snr and repetition/snr"):
+            snr_post(FILTERS["plain"], 10.0, 10**400)
+
     def test_numpy_float_needs_no_warning(self):
         # a numpy float64 R/snr would warn on overflow; the rule converts first
         assert not usable_snr(np.float64(1e-308), 4)
