@@ -287,7 +287,8 @@ def cmd_analyze(args) -> int:
                 d[0] = 1.0
                 single = transceiver.modulate(DataFrame(d), filt, frame)
                 single_papr = analysis.papr(single.samples[frame.cp_len :])
-                bits = np.random.default_rng(cfg.seed).integers(0, 2, (100, frame.bits_per_frame))
+                bits = np.random.default_rng(cfg.seed).integers(
+                    0, 2, (transceiver.PAPR_FRAMES, frame.bits_per_frame))
                 tx = transceiver.modulate(DataFrame.from_bits(bits), filt, frame)
                 vals = [analysis.papr(body) for body in tx.samples[:, frame.cp_len :]]
                 lines.append(f"{wf},{single_papr:.4f},{np.mean(vals):.4f}\n")

@@ -157,6 +157,12 @@ def design_linear(deviation: float, m: int) -> FdssFilter:
         raise ValueError("deviation must be > 0")
     d = float(deviation)
     ks = np.arange(lo, hi + 1)
+    # The closed form's domain: its chirp phase pi k^2 / D must be a float
+    # for every k in the band (hi >= -lo); at D = 1e-303, M = 336, the
+    # coefficients have already reached the single-tone limit c_0 = sqrt(M).
+    if not np.isfinite(np.pi * hi**2 / d):
+        raise ValueError(f"deviation {deviation} is below the linear closed form's domain:"
+                         f" pi k^2 / D overflows at k = {hi}")
     c1, s1 = numerics.fresnel((d - 2 * ks) / np.sqrt(2 * d))
     c2, s2 = numerics.fresnel((d + 2 * ks) / np.sqrt(2 * d))
     phase = np.exp(-1j * np.pi * d / 4) * np.exp(-1j * np.pi * ks) * np.exp(-1j * np.pi * ks**2 / d)

@@ -15,11 +15,13 @@ and ``demodulate``'s sqrt(M/N) scales it by M/N.  The receiver is linear
 (MRC over the R copies, single-tap MMSE, (M/R)-point despreading IDFT), so
 after combining, data bin j holds exactly G_j * X_j plus the sum of
 conj(g_k) * W_k over its copies, with G_j the sum of |g_k|^2.  A block
-therefore goes from its draw straight to those bins: g is the filter over
-AWGN, or the impulse responses times a per-point (L, M) steering matrix
-e^{-2 pi j d k / N} c_k over multipath; no modulator, IDFT, CP, channel
-filter, N-point channel transform or receiver DFT runs per frame.  The
-combined bins are the ones ``equalize`` forms from the time-domain chain,
+therefore goes from its draw straight to those bins by ``equalize``'s own
+``transceiver._combine`` and ``_despread``: g is the filter over AWGN, or
+the impulse responses times a per-point (L, M) steering matrix over
+multipath, ``channel.freq_response`` of one unit impulse per delay on the
+occupied bins times c_k; no modulator, IDFT, CP, channel filter, N-point
+channel transform or receiver DFT runs per frame.  The combined bins are
+the ones ``equalize`` forms from the time-domain chain,
 so the BER has that chain's distribution; they differ from the modulate /
 channel / ``equalize`` replay of the same draws only by rounding (about
 1e-15), which moves a hard decision only if a symbol lies that close to
@@ -216,33 +218,31 @@ def _draw_block(cfg: LinkConfig, rng: np.random.Generator, b: int):
 def _block_kernel(cfg: LinkConfig, filt: fdss.FdssFilter, rho: float):
     """``symbols(bits, h, noise)``: the receiver's symbols of one ``_draw_block`` draw.
 
-    The data DFT X, rotated by l_down mod (M/R) as ``transceiver._despread``
-    expects, times the combined gain G, plus the combined noise, both from
-    ``transceiver._combine`` of the band noise sqrt(1/(2 rho)) * (noise[0] +
-    j noise[1]) and the effective channel g: ``filt.coeffs``, or ``h @ steer``
-    with the per-point steering matrix e^{-2 pi j d k / N} c_k (delays d,
-    subcarriers k), so that g = H_k c_k.
+    The data DFT X times the combined gain G, plus the combined noise, both
+    from ``transceiver._combine`` (in data-bin order) of the band noise
+    sqrt(1/(2 rho)) * (noise[0] + j noise[1]) and the effective channel g:
+    ``filt.coeffs``, or ``h @ steer`` with the per-point steering matrix
+    ``channel.freq_response`` of the L unit impulses on ``frame.bins`` times
+    c_k, so that g = H_k c_k; then ``transceiver._despread``.
     """
     frame = cfg.frame
-    n, r = frame.idft_size, frame.repetition
-    shift = filt.l_down % frame.symbols_per_frame
     noise_scale, noise_var = np.sqrt(0.5 / rho), 1.0 / rho
     steer = None
     if cfg.channel_profile is not None:
-        delays = np.arange(cfg.channel_profile.max_delay + 1)[:, None]
-        steer = np.exp(-2j * np.pi * ((delays * filt.subcarriers) % n) / n) * filt.coeffs
+        taps = np.eye(cfg.channel_profile.max_delay + 1)  # one unit impulse per delay
+        steer = channel.freq_response(taps, frame.idft_size)[:, frame.bins] * filt.coeffs
 
     def symbols(bits, h, noise):
-        data = np.roll(numerics.dft(transceiver.qpsk_map(bits)), -shift, axis=-1)
+        data = numerics.dft(transceiver.qpsk_map(bits))
         gain = filt.coeffs if h is None else h @ steer
         w = np.empty(noise.shape[1:], dtype=complex)  # the band noise, CN(0, 1/rho)
         np.multiply(noise[0], noise_scale, out=w.real)
         np.multiply(noise[1], noise_scale, out=w.imag)
-        combined, combined_gain = transceiver._combine(w, gain, r)
+        combined, combined_gain = transceiver._combine(w, gain, frame)
         if not np.all(np.isfinite(combined_gain)):
             raise ValueError("channel gain must be finite")
         combined += combined_gain * data
-        return transceiver._despread(combined, combined_gain, frame, noise_var)
+        return transceiver._despread(combined, combined_gain, noise_var)
 
     return symbols
 

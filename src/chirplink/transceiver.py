@@ -14,8 +14,8 @@ Both chains meet at the equalizer reference plane, the occupied band
 at unit average data power: ``TxSignal.band`` on the way out (the time
 samples are built only when read), ``equalize`` on the way in, after
 ``demodulate``'s DFT and band extraction.  ``equalize`` is MRC
-(``_combine``) then MMSE and despreading (``_despread``); the BER sweep
-forms the combined bins itself and despreads them through ``_despread``.
+(``_combine``, into data-bin order) then MMSE and despreading
+(``_despread``); the BER sweep runs the same two on its combined bins.
 
 Every function works along the last axis: one frame is a 1-d array, a
 block of B frames is the same call with a leading axis of length B, and
@@ -44,13 +44,24 @@ from . import numerics
 from .fdss import FdssFilter, band_limits
 
 
+#: Random frames in the ``chirplink analyze --mode papr`` report: the
+#: largest array any command builds is these frames' N + CP samples.
+PAPR_FRAMES = 100
+
+#: Largest ``idft_size``: ``PAPR_FRAMES`` frames of N + CP < 2N complex
+#: samples stay within numpy's largest array (intp-max bytes), 2882303761517117
+#: on a 64-bit platform.  Whether such an array fits in memory is the
+#: machine's limit, not a rule of the configuration.
+MAX_IDFT_SIZE = np.iinfo(np.intp).max // (PAPR_FRAMES * 2 * np.dtype(complex).itemsize)
+
+
 @dataclass(frozen=True)
 class FrameConfig:
     """Numerology of one symbol: band size, transform size, CP, repetition.
 
     Defaults follow the 802.11ay OFDM PHY: 336 occupied subcarriers on a
     512-point transform, and a 96-sample CP (36.3 ns at the 512-sample
-    symbol body of 193.4 ns).
+    symbol body of 193.4 ns).  ``idft_size`` is at most ``MAX_IDFT_SIZE``.
     """
 
     subcarriers: int = 336
@@ -62,6 +73,8 @@ class FrameConfig:
         for name in ("subcarriers", "idft_size", "cp_len", "repetition"):
             numerics.require_number(name, getattr(self, name), count=True)
         m, n = self.subcarriers, self.idft_size
+        if n > MAX_IDFT_SIZE:
+            raise ValueError(f"idft_size must be <= {MAX_IDFT_SIZE}, got {n}")
         if not 1 <= m <= n:
             raise ValueError(f"need 1 <= subcarriers <= idft_size, got {m} and {n}")
         if not 0 <= self.cp_len < n:
@@ -166,7 +179,7 @@ def modulate(data: DataFrame, filt: FdssFilter, cfg: FrameConfig) -> TxSignal:
     """Shape the spectrum of a data frame; the CP-prefixed symbols follow on demand.
 
     Subcarrier k carries bin k mod (M/R) of the unitary (M/R)-point data
-    DFT, the rule that ``equalize``'s roll by l_down mod (M/R) inverts, so
+    DFT, the rule that ``_combine``'s roll by l_down mod (M/R) inverts, so
     the R copies are exact and each has unit average power.  The returned
     ``TxSignal`` holds the shaped band; its ``samples`` are synthesized when read.
     """
@@ -235,7 +248,7 @@ def equalize(band, gain, cfg: FrameConfig, noise_var: float) -> np.ndarray:
         MMSE symbol estimates (biased, as usual for MMSE), with the leading
         shape of ``band``.
     """
-    m, r = cfg.subcarriers, cfg.repetition
+    m = cfg.subcarriers
     band = np.asarray(band, dtype=complex)
     if band.shape[-1:] != (m,) or not np.all(np.isfinite(band)):
         raise ValueError(f"band must hold {m} finite values per frame, got shape {band.shape}")
@@ -244,32 +257,30 @@ def equalize(band, gain, cfg: FrameConfig, noise_var: float) -> np.ndarray:
     gain = np.asarray(gain, dtype=complex)
     if gain.shape not in ((m,), band.shape) or not np.all(np.isfinite(gain)):
         raise ValueError(f"gain must be finite, of shape {(m,)} or {band.shape}, got {gain.shape}")
-    combined, combined_gain = _combine(band, gain, r)
-    return _despread(combined, combined_gain, cfg, noise_var)
+    combined, combined_gain = _combine(band, gain, cfg)
+    return _despread(combined, combined_gain, noise_var)
 
 
-def _combine(band: np.ndarray, gain: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+def _combine(band: np.ndarray, gain: np.ndarray, cfg: FrameConfig) -> tuple[np.ndarray, np.ndarray]:
     """MRC over the R copies: the combined values sum conj(gain) * band, their gain |gain|^2.
 
-    Both come back on the M/R combined bins, (..., M) -> (..., M/R).
+    Both come back on the M/R combined bins in data-bin order, (..., M) ->
+    (..., M/R): the fold starts at bin l_down mod (M/R), the one place that
+    rotation is undone, so a noiseless band gives G_j * X_j at index j.
     """
-    return _fold(np.conj(gain) * band, r), _fold(np.abs(gain) ** 2, r)
+    r, shift = cfg.repetition, band_limits(cfg.subcarriers)[0] % cfg.symbols_per_frame
+    return (np.roll(_fold(np.conj(gain) * band, r), shift, axis=-1),
+            np.roll(_fold(np.abs(gain) ** 2, r), shift, axis=-1))
 
 
-def _despread(combined: np.ndarray, combined_gain: np.ndarray, cfg: FrameConfig,
-              noise_var: float) -> np.ndarray:
+def _despread(combined: np.ndarray, combined_gain: np.ndarray, noise_var: float) -> np.ndarray:
     """Single-tap MMSE of the combined bins, then the (M/R)-point despreading IDFT."""
     if noise_var == 0 and not np.all(combined_gain > 0):
         raise ValueError(
             "noise_var = 0 (zero-forcing) needs nonzero combined gain on every bin;"
             f" {int(np.sum(combined_gain == 0))} of {combined_gain.size} bins have none"
         )
-    equalized = combined * (1.0 / (combined_gain + noise_var))
-    # Despread: subcarrier kappa = l_down + i carries bin kappa mod (M/R) of
-    # the data DFT, so the combined bins are that DFT rotated by l_down.
-    despread_in = np.roll(equalized, band_limits(cfg.subcarriers)[0] % cfg.symbols_per_frame,
-                          axis=-1)
-    return numerics.dft(despread_in, inverse=True)
+    return numerics.dft(combined * (1.0 / (combined_gain + noise_var)), inverse=True)
 
 
 def _fold(values: np.ndarray, r: int) -> np.ndarray:

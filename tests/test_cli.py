@@ -94,6 +94,12 @@ INVALID_CONFIGS = {
     "huge_int_rician_k": ("rician_k", _multipath(f"rician_k: {HUGE_INT}")),
     "huge_int_tap_powers": ("tap_powers_db",
                             _multipath(f"tap_powers_db: [0.0, {HUGE_INT}]; tap_delays: [0, 1]")),
+    # a positive deviation below the linear closed form's domain
+    "tiny_linear_deviation": ("deviation", BASE_CONFIG.replace("{waveform}", "linear").replace(
+        "deviation: 318.0", "deviation: 5.0e-324")),
+    # 2^63 points: above transceiver.MAX_IDFT_SIZE, and no numpy array length
+    "huge_idft_size": ("idft_size", _multipath("tap_delays: [0, 1, 2]").replace(
+        "idft_size: 512", "idft_size: 9223372036854775808")),
 }
 # snrpost grid values whose linear SNR 10^(s/10) overflows, is not finite or underflows to 0
 BAD_SNR_DB = {"huge_snr_db": "4000.0", "inf_snr_db": ".inf", "nan_snr_db": ".nan",

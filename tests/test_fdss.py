@@ -1,6 +1,7 @@
 """Filter designs against closed-form cross-oracles, sampled-chirp oracles and the Bessel product."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,21 @@ class TestLinear:
             design_linear(0.0, M)
         with pytest.raises(ValueError):
             design_linear(400.0, M)
+
+    def test_tiny_deviation_is_named_without_warnings(self):
+        # below the closed form's domain its chirp phase pi k^2 / D overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^deviation 5e-324 is below the linear"):
+                design_linear(5e-324, M)
+
+    def test_domain_edge_is_the_single_tone(self):
+        # just inside the domain the closed form has reached the D -> 0 limit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            filt = design_linear(1e-303, M)
+        tone = np.where(filt.subcarriers == 0, np.sqrt(M), 0.0)
+        np.testing.assert_allclose(np.abs(filt.coeffs), tone, atol=1e-12)
 
 
 class TestTrajectory:

@@ -12,8 +12,11 @@ from chirplink.channel import ChannelProfile
 from chirplink.fdss import design_linear, design_plain, design_sinusoidal
 from chirplink.simulation import design_filter
 from chirplink.transceiver import (
+    MAX_IDFT_SIZE,
+    PAPR_FRAMES,
     DataFrame,
     FrameConfig,
+    _combine,
     demodulate,
     equalize,
     modulate,
@@ -405,6 +408,20 @@ class TestRandomNumerologies:
         expect = ref * np.exp(-2j * np.pi * (filt.subcarriers * shift % s) / s)
         assert np.max(np.abs(got - expect)) < 1e-12 * np.max(np.abs(ref))
 
+    @settings(max_examples=60, deadline=None)
+    @given(numerology=numerologies(), count=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_combine_returns_data_bin_order(self, numerology, count, seed):
+        # MRC of a noiseless band holds G_j * X_j at index j, X = dft(d):
+        # _combine undoes modulate's map of subcarrier k to data bin k mod (M/R)
+        cfg, _ = numerology
+        rng = np.random.default_rng(seed)
+        filt = random_filter(rng, cfg.subcarriers)
+        d = qpsk_map(rng.integers(0, 2, (count, cfg.bits_per_frame)))
+        band = modulate(DataFrame(d), filt, cfg).band
+        combined, combined_gain = _combine(band, filt.coeffs, cfg)
+        assert combined.shape == (count, cfg.symbols_per_frame)
+        assert np.max(np.abs(combined - combined_gain * numerics.dft(d))) < 1e-12
+
 
 class TestBandTimeIdentity:
     """With CP >= channel memory, equalizing the band equals the time-domain chain.
@@ -471,3 +488,13 @@ class TestFrameConfig:
             FrameConfig(cp_len=512)
         with pytest.raises(ValueError):
             FrameConfig(repetition=5)  # does not divide 336
+
+    def test_idft_size_bound(self):
+        # the largest array a command builds, PAPR_FRAMES frames of N + CP < 2N
+        # complex samples, stays within numpy's largest array size
+        assert PAPR_FRAMES * 2 * MAX_IDFT_SIZE * 16 <= np.iinfo(np.intp).max
+        assert FrameConfig(idft_size=MAX_IDFT_SIZE).idft_size == MAX_IDFT_SIZE
+        with pytest.raises(ValueError, match=f"^idft_size must be <= {MAX_IDFT_SIZE}, got 2"):
+            FrameConfig(idft_size=MAX_IDFT_SIZE + 1)
+        with pytest.raises(ValueError, match="^idft_size must be <= "):
+            FrameConfig(idft_size=2**63)
