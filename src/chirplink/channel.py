@@ -47,7 +47,8 @@ class ChannelProfile:
     @property
     def tap_powers(self) -> np.ndarray:
         """Linear tap powers normalized to unit total (relative to the strongest tap first)."""
-        p = 10.0 ** ((np.asarray(self.tap_powers_db) - max(self.tap_powers_db)) / 10.0)
+        top = max(self.tap_powers_db)  # in floats, a span past their range is -inf: no warning
+        p = 10.0 ** (np.array([d - top for d in self.tap_powers_db]) / 10.0)
         return p / p.sum()
 
     @property

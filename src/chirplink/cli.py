@@ -10,9 +10,9 @@ usage/config errors, 2 when any BER point under-converged.
 required keys.  Every value's type, range and cross-field rule belongs to
 the dataclass that holds the field, which raises ``ValueError`` naming it.
 ``main`` is the one place that turns a ``ValueError`` (``UsageError`` is
-one) into an ``error: ...`` message on stderr and exit code 1, so no
-command writes a file or a traceback for invalid input or an unwritable
-output path.
+one) or a ``MemoryError`` into an ``error: ...`` message on stderr and exit
+code 1, so no command writes a file or a traceback for invalid input, an
+unwritable output path or a size the machine cannot hold.
 """
 
 from __future__ import annotations
@@ -341,7 +341,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ValueError as exc:  # UsageError included
+    except (ValueError, MemoryError) as exc:  # UsageError and numpy's allocation error included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -39,8 +39,8 @@ SLOPE_GRID = 4096
 
 
 def band_limits(m: int) -> tuple[int, int]:
-    """Occupied-band subcarrier limits (lower, upper) for m >= 1 subcarriers."""
-    if m < 1:
+    """Occupied-band limits (lower, upper); every design's one check that m is an integer >= 1."""
+    if numerics.require_number("subcarriers", m, count=True) < 1:
         raise ValueError(f"subcarriers must be >= 1, got {m}")
     return m // 2 - m + 1, m // 2
 
@@ -95,14 +95,9 @@ class FdssFilter:
         return float(mags.max() / lo)
 
 
-def _band(m: int) -> tuple[int, int]:
-    """``band_limits`` at a design's entry, with ``m`` checked to be an integer."""
-    return band_limits(numerics.require_number("subcarriers", m, count=True))
-
-
 def design_plain(m: int) -> FdssFilter:
     """All-ones filter: plain DFT-spread-OFDM, no spectral shaping."""
-    _band(m)  # the designs' band-size rule, before np.ones sees m
+    band_limits(m)  # the band-size rule, before np.ones sees m
     return FdssFilter(np.ones(m, dtype=complex))
 
 
@@ -131,7 +126,7 @@ def design_sinusoidal(deviation: float, m: int) -> FdssFilter:
     The Fourier coefficients of exp(j (D/2) sin theta) are J_k(D/2), so the
     raw filter is the Bessel sequence over the occupied band.
     """
-    lo, hi = _band(m)  # hi >= -lo, so orders -hi..hi cover the band
+    lo, hi = band_limits(m)  # hi >= -lo, so orders -hi..hi cover the band
     _check_deviation(deviation, m)
     if deviation < 0:
         raise ValueError("deviation must be >= 0")
@@ -151,7 +146,7 @@ def design_linear(deviation: float, m: int) -> FdssFilter:
     with x1 = (D - 2k)/sqrt(2D), x2 = (D + 2k)/sqrt(2D) and C, S the
     pi/2-normalized Fresnel integrals of :func:`chirplink.numerics.fresnel`.
     """
-    lo, hi = _band(m)
+    lo, hi = band_limits(m)
     _check_deviation(deviation, m)
     if deviation <= 0:
         raise ValueError("deviation must be > 0")
@@ -271,7 +266,7 @@ def design_arbitrary(traj: ChirpTrajectory, m: int) -> FdssFilter:
     restricting to the band (one minus the in-band energy, by Parseval) is
     reported as ``truncation_loss`` and callers can detect overflow.
     """
-    lo, hi = _band(m)
+    lo, hi = band_limits(m)
     _check_deviation(traj.deviation, m)
     size = next_fast_len(4 * max(m, int(np.ceil(traj.deviation)) + 2 * traj.n_harmonics))
     f = traj.a0 / 2.0 + _series_on_grid(traj.cos_coeffs - 1j * traj.sin_coeffs, size).real

@@ -70,9 +70,14 @@ def design_filter(
     m: int,
     n_harmonics: int = TRIANGULAR_HARMONICS,
 ) -> fdss.FdssFilter:
-    """Build the shaping filter for one of the named waveforms."""
+    """Build the shaping filter for one of the named waveforms.
+
+    ``m`` follows ``fdss.band_limits``, at most ``transceiver.MAX_IDFT_SIZE`` (the widest grid).
+    """
     require_number("deviation", deviation)
-    require_number("subcarriers", m, count=True)
+    fdss.band_limits(m)
+    if m > transceiver.MAX_IDFT_SIZE:
+        raise ValueError(f"subcarriers must be <= {transceiver.MAX_IDFT_SIZE}, got {m}")
     require_number("n_harmonics", n_harmonics, count=True)
     if not (np.isfinite(deviation) and deviation > 0):
         raise ValueError(f"deviation must be finite and > 0, got {deviation}")

@@ -36,7 +36,7 @@ class TestProfile:
         shifted = ChannelProfile(tuple(p + shift for p in base.tap_powers_db))
         np.testing.assert_array_equal(shifted.tap_powers, base.tap_powers)
 
-    @pytest.mark.parametrize("powers_db", [(4000.0, 0.0), (-4000.0, -4000.0)])
+    @pytest.mark.parametrize("powers_db", [(4000.0, 0.0), (-4000.0, -4000.0), (-1e308, 1e308)])
     def test_extreme_powers_draw_finite(self, powers_db):
         p = ChannelProfile(powers_db, 10.0, (0, 1))
         assert np.all(np.isfinite(p.tap_powers)) and p.tap_powers.sum() == 1.0

@@ -1,15 +1,21 @@
 """Command-line surface: flags, config validation, exit codes, reproducibility."""
 
+import contextlib
 import hashlib
+import io
 import math
 import os
 import stat
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chirplink import __version__, analysis, cli, fdss
+from chirplink import __version__, analysis, cli, fdss, transceiver
 from chirplink.channel import ChannelProfile
 from chirplink.simulation import WAVEFORMS, LinkConfig, design_filter
 from chirplink.transceiver import FrameConfig
@@ -256,6 +262,16 @@ class TestDesign:
         rc = cli.main(["design", "--waveform", *flags, "--subcarriers", "336", "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_rejects_band_no_grid_holds(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        m = 10**23
+        rc = cli.main(["design", "--waveform", "linear", "--deviation", "10",
+                       "--subcarriers", str(m), "--out", str(out)])
+        assert rc == 1
+        bound = transceiver.MAX_IDFT_SIZE
+        assert capsys.readouterr().err == f"error: subcarriers must be <= {bound}, got {m}\n"
         assert not out.exists()
 
     def test_rejects_unknown_waveform(self, tmp_path):
@@ -690,6 +706,32 @@ class TestOutputs:
                          "--out", os.devnull]) == 0
         assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
+    # a step of each command that an allocation numpy cannot make would stop
+    ALLOCATING_STEPS = {
+        "design": (cli, "design_filter"),
+        "ber": (cli.simulation, "run_ber_sweep"),
+        "snrpost": (analysis, "snr_post"),
+        "psd": (analysis, "in_band_db"),
+        "papr": (analysis, "papr"),
+        "synthesize": (transceiver, "modulate"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_memory_error_is_a_usage_error(self, command, plain_config, tmp_path, monkeypatch,
+                                           capsys):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(*self.ALLOCATING_STEPS[command], out_of_memory)
+        args = [*self.COMMANDS[command], str(tmp_path / "out_")]
+        if command != "design":
+            args += ["--config", str(plain_config)]
+        assert cli.main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: Unable to allocate 7.28 TiB for an array\n"
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
+
     def test_papr_failing_partway_writes_nothing(self, plain_config, tmp_path, monkeypatch,
                                                  capsys):
         papr, calls = analysis.papr, []
@@ -804,3 +846,63 @@ class TestConfigValidation:
 
     def test_usage_error_exit_code(self):
         assert cli.main(["design"]) == 1  # missing required flags
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.yaml"))
+SIZE_KEYS = ("frame/idft_size", "frame/subcarriers")
+
+
+def _fuzz_values(path: str):
+    """Values of every YAML type for key ``path``, none of which allocates much.
+
+    Integers reach +-10^400, but a size key's are at most 4096 or above
+    ``MAX_IDFT_SIZE`` and ``max_frames``'s at most 64; a grid is one value.
+    """
+    integers = st.integers()
+    if path in SIZE_KEYS:
+        integers = (st.integers(max_value=4096)
+                    | st.integers(min_value=transceiver.MAX_IDFT_SIZE + 1))
+    elif path == "sweep/max_frames":
+        integers = st.integers(max_value=64)
+    extremes = st.sampled_from([10**400, -(10**400)]).filter(
+        lambda v: path != "sweep/max_frames" or v < 0)
+    scalars = (integers | extremes | st.floats() | st.sampled_from([5e-324, -1e-310])
+               | st.text(max_size=8) | st.booleans() | st.none())
+    return scalars | st.lists(scalars, max_size=1 if path == "sweep/ebn0_db" else 3)
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """A shipped config, shrunk to one grid value and 64 frames, with one to three keys redrawn."""
+    raw = yaml.safe_load(draw(st.sampled_from(SHIPPED_CONFIGS)).read_text())
+    raw["sweep"].update(ebn0_db=raw["sweep"]["ebn0_db"][:1], max_frames=64)
+    paths = SCALAR_KEYS + LIST_KEYS + ["frame", "channel", "sweep", "analysis"]
+    for path in draw(st.lists(st.sampled_from(paths), min_size=1, max_size=3, unique=True)):
+        *section, key = path.split("/")
+        table = raw.setdefault(section[0], {}) if section else raw
+        if isinstance(table, dict):  # a section redrawn as a scalar has no keys left
+            table[key] = draw(_fuzz_values(path))
+    return raw
+
+
+class TestFuzzedConfigs:
+    """Any value in any key of a shipped config ends in a result or in one ``error:`` line."""
+
+    COMMANDS = {c: args for c, args in TestOutputs.COMMANDS.items() if c != "design"}
+
+    @settings(max_examples=60, deadline=None)
+    @given(raw=fuzzed_configs())
+    def test_every_command_exits_cleanly(self, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "run.yaml"
+            cfg.write_text(yaml.safe_dump(raw), encoding="utf-8")
+            for command, args in self.COMMANDS.items():
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    rc = cli.main([*args, str(Path(tmp) / command), "--config", str(cfg)])
+                assert rc in (0, 1, 2) and (rc != 2 or command == "ber"), (command, rc)
+                if rc == 1:
+                    assert err.getvalue().startswith("error: ")
+                    assert err.getvalue().count("\n") == 1, err.getvalue()
+                    left = [p.name for p in Path(tmp).iterdir()]
+                    assert not [n for n in left if n.startswith((command, ".chirplink-"))], left

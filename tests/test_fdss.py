@@ -345,16 +345,20 @@ class TestFilterInvariants:
 
     @pytest.mark.parametrize("m", [0, -5])
     @pytest.mark.parametrize("make", [
+        band_limits,
         design_plain,
         lambda m: design_linear(4.0, m),
         lambda m: design_sinusoidal(4.0, m),
         lambda m: design_arbitrary(triangular_trajectory(64, deviation=4.0), m),
-    ], ids=["plain", "linear", "sinusoidal", "triangular"])
+    ], ids=["band_limits", "plain", "linear", "sinusoidal", "triangular"])
     def test_band_size_named(self, make, m):
         with pytest.raises(ValueError, match=f"^subcarriers must be >= 1, got {m}$"):
             make(m)
 
     @pytest.mark.parametrize("make, name", [
+        (lambda: band_limits(48.0), "subcarriers"),
+        (lambda: band_limits(True), "subcarriers"),
+        (lambda: band_limits("48"), "subcarriers"),
         (lambda: design_plain(336.0), "subcarriers"),
         (lambda: design_sinusoidal(10.0, 48.0), "subcarriers"),
         (lambda: design_linear(10.0, "48"), "subcarriers"),
@@ -367,7 +371,8 @@ class TestFilterInvariants:
         (lambda: ChirpTrajectory(sin_coeffs=np.ones(1), deviation=None), "deviation"),
         (lambda: triangular_trajectory(41.0), "n_harmonics"),
         (lambda: triangular_trajectory("64"), "n_harmonics"),
-    ], ids=["plain_m_float", "sinusoidal_m_float", "linear_m_str", "arbitrary_m_numpy_float",
+    ], ids=["band_limits_float", "band_limits_bool", "band_limits_str",
+            "plain_m_float", "sinusoidal_m_float", "linear_m_str", "arbitrary_m_numpy_float",
             "sinusoidal_deviation_str", "linear_deviation_str", "linear_deviation_huge_int",
             "triangular_deviation_bool", "trajectory_deviation_none", "triangular_harmonics_float",
             "triangular_harmonics_str"])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chirplink import analysis, channel, simulation
+from chirplink import analysis, channel, simulation, transceiver
 from chirplink.channel import ChannelProfile
 from chirplink.fdss import design_plain
 from chirplink.simulation import (
@@ -111,6 +111,13 @@ class TestLinkConfig:
         simulation.design_filter("plain", 4.0, 8, bound)
         with pytest.raises(ValueError, match=f"^n_harmonics must be <= {bound}, got {bound + 1}$"):
             simulation.design_filter("triangular", 4.0, 8, bound + 1)
+
+    @pytest.mark.parametrize("m", [transceiver.MAX_IDFT_SIZE + 1, 10**23])
+    def test_band_bounded_by_the_grid(self, m):
+        # a band no frame can hold is rejected before any array is sized by it
+        bound = transceiver.MAX_IDFT_SIZE
+        with pytest.raises(ValueError, match=f"^subcarriers must be <= {bound}, got {m}$"):
+            simulation.design_filter("linear", 10.0, m)
 
     @pytest.mark.parametrize("grid", [np.array([0.0]), np.array([0.0, 1.0])],
                              ids=["array_of_one_zero", "array_of_two"])
