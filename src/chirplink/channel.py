@@ -9,7 +9,8 @@ A realization is its impulse response: a complex array over delays
 0 .. max_delay, each tap at its delay.  It may hold one frame, shape
 (max_delay + 1,), or a block of B frames, (B, max_delay + 1); ``apply`` and
 ``freq_response`` then act on each frame along the last axis, row for row
-as the single-frame calls would.
+as the single-frame calls would.  ``steering`` gives the frequency response
+on a few bins from the taps alone, as the BER sweep takes it.
 """
 
 from __future__ import annotations
@@ -69,12 +70,26 @@ def draw(
 ) -> np.ndarray:
     """Draw one impulse response, shape (max_delay + 1,), or ``count`` as (count, ·).
 
+    ``draw_taps``' gains, each written to its delay; delays without a tap
+    are zero.  Row i equals the (i+1)-th of ``count`` single draws from the
+    same generator.
+    """
+    taps = draw_taps(profile, rng, count)
+    h = np.zeros(taps.shape[:-1] + (profile.max_delay + 1,), dtype=complex)
+    h[..., list(profile.tap_delays)] = taps
+    return h
+
+
+def draw_taps(
+    profile: ChannelProfile, rng: np.random.Generator, count: int | None = None
+) -> np.ndarray:
+    """Draw the complex gains of the profile's K taps, shape (K,), or (count, K).
+
     Tap 0 is Rician: deterministic component sqrt(p0*K/(K+1)) plus circular
     complex Gaussian of variance p0/(K+1).  Remaining taps are circular
-    complex Gaussian (Rayleigh envelopes) with variances p_i.  Each tap is
-    written to its delay; delays without a tap are zero.  All normals come
-    from one ``standard_normal((count, L, 2))`` call, so row i equals the
-    (i+1)-th of ``count`` single draws from the same generator.
+    complex Gaussian (Rayleigh envelopes) with variances p_i.  All normals
+    come from one ``standard_normal((count, K, 2))`` call, so ``draw`` and
+    ``draw_taps`` take the same numbers from a generator.
     """
     p = profile.tap_powers
     k = profile.rician_k
@@ -82,11 +97,9 @@ def draw(
     scale[0] = np.sqrt(p[0] / (k + 1.0) / 2.0)
     lead = () if count is None else (count,)
     normals = rng.standard_normal(lead + (len(p), 2))
-    delays = list(profile.tap_delays)
-    h = np.zeros(lead + (profile.max_delay + 1,), dtype=complex)
-    h[..., delays] = scale * (normals[..., 0] + 1j * normals[..., 1])
-    h[..., delays[0]] += np.sqrt(p[0] * k / (k + 1.0))
-    return h
+    taps = scale * (normals[..., 0] + 1j * normals[..., 1])
+    taps[..., 0] += np.sqrt(p[0] * k / (k + 1.0))
+    return taps
 
 
 def apply(signal, h) -> np.ndarray:
@@ -119,3 +132,17 @@ def freq_response(h, n: int) -> np.ndarray:
     if n <= memory:
         raise ValueError(f"need n > the channel memory {memory}, got n = {n}")
     return np.fft.fft(h, n, axis=-1)
+
+
+def steering(delays, bins, n: int) -> np.ndarray:
+    """e^{-j 2 pi (d k mod n) / n} for each delay d (rows) and bin k (columns).
+
+    ``h[..., delays] @ steering(delays, bins, n)`` equals
+    ``freq_response(h, n)[..., bins]`` for an impulse response that is zero
+    off ``delays``, in O(len(delays) * len(bins)) time and memory whatever
+    n and the largest delay.  The phase index d k mod n is exact: it is
+    taken in Python integers, as d k can exceed int64.
+    """
+    index = np.outer(np.array([int(d) for d in delays], dtype=object),
+                     np.asarray(bins).astype(object)) % int(n)
+    return np.exp(-2j * np.pi * (index / int(n)).astype(float))

@@ -13,19 +13,23 @@ iid: time-domain noise of variance (N/M)/rho per sample (the unit-power
 signal sits on M of the N bins) has iid unitary-DFT bins of that variance,
 and ``demodulate``'s sqrt(M/N) scales it by M/N.  The receiver is linear
 (MRC over the R copies, single-tap MMSE, (M/R)-point despreading IDFT), so
-after combining, data bin j holds exactly G_j * X_j plus the sum of
-conj(g_k) * W_k over its copies, with G_j the sum of |g_k|^2.  A block
-therefore goes from its draw straight to those bins by ``equalize``'s own
-``transceiver._combine`` and ``_despread``: g is the filter over AWGN, or
-the impulse responses times a per-point (L, M) steering matrix over
-multipath, ``channel.freq_response`` of one unit impulse per delay on the
-occupied bins times c_k; no modulator, IDFT, CP, channel filter, N-point
-channel transform or receiver DFT runs per frame.  The combined bins are
-the ones ``equalize`` forms from the time-domain chain,
-so the BER has that chain's distribution; they differ from the modulate /
-channel / ``equalize`` replay of the same draws only by rounding (about
-1e-15), which moves a hard decision only if a symbol lies that close to
-an axis, so this stream's CSV bytes stay as pinned in the tests.
+after combining, data bin j holds exactly G_j * X_j + N_j, with G_j the
+sum of |g_k|^2 over its R copies and N_j the sum of conj(g_k) * W_k.  The
+bins have disjoint copies and W is circular, so the N_j are independent
+CN(0, G_j/rho): a frame needs M/R complex normals, not M.  A block
+therefore goes from its draw straight to those bins: G by
+``transceiver._combined_gain``, the fold and roll of ``equalize``'s
+``_combine``, then ``equalize``'s own ``_despread``.  g is the filter over
+AWGN, or the K tap gains (``channel.draw_taps``) times a per-point
+(K, M) steering matrix over multipath, ``channel.steering`` of the tap
+delays on the occupied bins times c_k; no modulator, IDFT, CP, channel
+filter, N-point transform or receiver DFT runs per frame, and no array
+grows with N or with the largest delay.  The combined bins
+have the distribution of those ``equalize`` forms from the time-domain
+chain (the tests check the noiseless bins against it and the combining
+map's covariance), so the BER has that chain's distribution; the draws
+themselves are not the band noise's, and this stream's CSV bytes are
+pinned in the tests.
 
 Sweeps are deterministic: every grid point draws its random stream from a
 child of the configured seed, spawned up front in grid order, so results
@@ -201,53 +205,61 @@ def ebn0_to_subcarrier_snr(ebn0_db: float, cfg: FrameConfig) -> float:
 
 
 def _draw_block(cfg: LinkConfig, rng: np.random.Generator, b: int):
-    """``(bits, h, noise)``: every random number of ``b`` frames, in stream order.
+    """``(bits, taps, noise)``: every random number of ``b`` frames, in stream order.
 
     The bits, ``integers(0, 256, (b, ceil(bits_per_frame / 8)), uint8)``
     bytes unpacked along each row (most significant bit first) to
-    ``bits_per_frame`` uint8 bits; for multipath only, the (b, max_delay + 1)
-    impulse responses ``h = channel.draw(profile, rng, b)`` (else None);
-    then the real and the imaginary band noise, each (b, M) standard
-    normals, as ``noise[0]`` and ``noise[1]``: times sqrt(1/(2 rho)) they
-    make the CN(0, 1/rho) noise on the occupied bins.  This order and
-    ``FRAME_BLOCK`` fix the BER CSV bytes.
+    ``bits_per_frame`` uint8 bits; for multipath only, the (b, K) tap gains
+    ``taps = channel.draw_taps(profile, rng, b)`` (else None), the values
+    ``channel.draw`` writes at the K tap delays;
+    then the real and the imaginary combined noise, each (b, M/R) standard
+    normals, as ``noise[0]`` and ``noise[1]``: times sqrt(G_j/(2 rho)) they
+    make the CN(0, G_j/rho) noise on combined bin j.  This order, these
+    shapes and ``FRAME_BLOCK`` fix the BER CSV bytes.
     """
     n_bits = cfg.frame.bits_per_frame
     octets = rng.integers(0, 256, (b, -(-n_bits // 8)), dtype=np.uint8)
     bits = np.unpackbits(octets, axis=-1, count=n_bits)
-    h = None if cfg.channel_profile is None else channel.draw(cfg.channel_profile, rng, b)
-    noise = rng.standard_normal((2, b, cfg.frame.subcarriers))
-    return bits, h, noise
+    profile = cfg.channel_profile
+    taps = None if profile is None else channel.draw_taps(profile, rng, b)
+    noise = rng.standard_normal((2, b, cfg.frame.symbols_per_frame))
+    return bits, taps, noise
 
 
 def _block_kernel(cfg: LinkConfig, filt: fdss.FdssFilter, rho: float):
-    """``symbols(bits, h, noise)``: the receiver's symbols of one ``_draw_block`` draw.
+    """``symbols(bits, taps, noise)``: the receiver's symbols of one ``_draw_block`` draw.
 
-    The data DFT X times the combined gain G, plus the combined noise, both
-    from ``transceiver._combine`` (in data-bin order) of the band noise
-    sqrt(1/(2 rho)) * (noise[0] + j noise[1]) and the effective channel g:
-    ``filt.coeffs``, or ``h @ steer`` with the per-point steering matrix
-    ``channel.freq_response`` of the L unit impulses on ``frame.bins`` times
-    c_k, so that g = H_k c_k; then ``transceiver._despread``.
+    Combined bin j of a frame is G_j X_j + sqrt(G_j/(2 rho)) (noise[0] +
+    j noise[1]), with X the data DFT and G ``transceiver._combined_gain`` of
+    the effective channel g; then ``transceiver._despread`` by the MMSE
+    weights 1/(G + 1/rho).  Over AWGN g is ``filt.coeffs``, so G, the noise
+    scale and the weights are computed once per point.  Over multipath g is
+    ``taps @ steer`` per frame, with the per-point (K, M) steering matrix
+    ``channel.steering`` of the K tap delays on ``frame.bins`` times c_k,
+    so that g = H_k c_k.
     """
-    frame = cfg.frame
-    noise_scale, noise_var = np.sqrt(0.5 / rho), 1.0 / rho
-    steer = None
-    if cfg.channel_profile is not None:
-        taps = np.eye(cfg.channel_profile.max_delay + 1)  # one unit impulse per delay
-        steer = channel.freq_response(taps, frame.idft_size)[:, frame.bins] * filt.coeffs
+    frame, noise_var = cfg.frame, 1.0 / rho
 
-    def symbols(bits, h, noise):
-        data = numerics.dft(transceiver.qpsk_map(bits))
-        gain = filt.coeffs if h is None else h @ steer
-        w = np.empty(noise.shape[1:], dtype=complex)  # the band noise, CN(0, 1/rho)
-        np.multiply(noise[0], noise_scale, out=w.real)
-        np.multiply(noise[1], noise_scale, out=w.imag)
-        combined, combined_gain = transceiver._combine(w, gain, frame)
+    def noise_model(gain):
+        combined_gain = transceiver._combined_gain(gain, frame)
         if not np.all(np.isfinite(combined_gain)):
             raise ValueError("channel gain must be finite")
-        combined += combined_gain * data
-        return transceiver._despread(combined, combined_gain, noise_var)
+        return (combined_gain, np.sqrt(combined_gain * (0.5 * noise_var)),
+                transceiver._mmse_weights(combined_gain, noise_var))
+
+    if cfg.channel_profile is None:
+        fixed = noise_model(filt.coeffs)
+    else:
+        delays = cfg.channel_profile.tap_delays
+        steer = channel.steering(delays, frame.bins, frame.idft_size) * filt.coeffs
+
+    def symbols(bits, taps, noise):
+        combined_gain, scale, weights = fixed if taps is None else noise_model(taps @ steer)
+        combined = np.empty(noise.shape[1:], dtype=complex)
+        np.multiply(noise[0], scale, out=combined.real)
+        np.multiply(noise[1], scale, out=combined.imag)
+        combined += combined_gain * numerics.dft(transceiver.qpsk_map(bits))
+        return transceiver._despread(combined, weights)
 
     return symbols
 
@@ -269,8 +281,8 @@ def _simulate_point(
         bits_sent < cfg.min_bits or errors < cfg.min_errors
     ):
         block = min(FRAME_BLOCK, cfg.max_frames - frames)
-        bits, h, noise = _draw_block(cfg, rng, block)
-        symbols = symbols_of(bits, h, noise)
+        bits, taps, noise = _draw_block(cfg, rng, block)
+        symbols = symbols_of(bits, taps, noise)
         frame_errors = np.sum(transceiver.qpsk_demap(symbols) != bits, axis=1)
         # Count frames up to the first one that meets both targets.
         cum_errors = errors + np.cumsum(frame_errors)

@@ -15,7 +15,8 @@ at unit average data power: ``TxSignal.band`` on the way out (the time
 samples are built only when read), ``equalize`` on the way in, after
 ``demodulate``'s DFT and band extraction.  ``equalize`` is MRC
 (``_combine``, into data-bin order) then MMSE and despreading
-(``_despread``); the BER sweep runs the same two on its combined bins.
+(``_mmse_weights``, ``_despread``); the BER sweep forms its combined bins
+with ``_combine``'s gain rule, ``_combined_gain``, and despreads them the same way.
 
 Every function works along the last axis: one frame is a 1-d array, a
 block of B frames is the same call with a leading axis of length B, and
@@ -179,7 +180,7 @@ def modulate(data: DataFrame, filt: FdssFilter, cfg: FrameConfig) -> TxSignal:
     """Shape the spectrum of a data frame; the CP-prefixed symbols follow on demand.
 
     Subcarrier k carries bin k mod (M/R) of the unitary (M/R)-point data
-    DFT, the rule that ``_combine``'s roll by l_down mod (M/R) inverts, so
+    DFT, the rule that ``_in_data_order``'s roll by l_down mod (M/R) inverts, so
     the R copies are exact and each has unit average power.  The returned
     ``TxSignal`` holds the shaped band; its ``samples`` are synthesized when read.
     """
@@ -258,29 +259,46 @@ def equalize(band, gain, cfg: FrameConfig, noise_var: float) -> np.ndarray:
     if gain.shape not in ((m,), band.shape) or not np.all(np.isfinite(gain)):
         raise ValueError(f"gain must be finite, of shape {(m,)} or {band.shape}, got {gain.shape}")
     combined, combined_gain = _combine(band, gain, cfg)
-    return _despread(combined, combined_gain, noise_var)
+    return _despread(combined, _mmse_weights(combined_gain, noise_var))
 
 
 def _combine(band: np.ndarray, gain: np.ndarray, cfg: FrameConfig) -> tuple[np.ndarray, np.ndarray]:
     """MRC over the R copies: the combined values sum conj(gain) * band, their gain |gain|^2.
 
-    Both come back on the M/R combined bins in data-bin order, (..., M) ->
-    (..., M/R): the fold starts at bin l_down mod (M/R), the one place that
-    rotation is undone, so a noiseless band gives G_j * X_j at index j.
+    Both come back on the M/R combined bins in data-bin order (see
+    ``_in_data_order``), so a noiseless band gives G_j * X_j at index j.
     """
-    r, shift = cfg.repetition, band_limits(cfg.subcarriers)[0] % cfg.symbols_per_frame
-    return (np.roll(_fold(np.conj(gain) * band, r), shift, axis=-1),
-            np.roll(_fold(np.abs(gain) ** 2, r), shift, axis=-1))
+    return _in_data_order(np.conj(gain) * band, cfg), _combined_gain(gain, cfg)
 
 
-def _despread(combined: np.ndarray, combined_gain: np.ndarray, noise_var: float) -> np.ndarray:
-    """Single-tap MMSE of the combined bins, then the (M/R)-point despreading IDFT."""
+def _combined_gain(gain: np.ndarray, cfg: FrameConfig) -> np.ndarray:
+    """G_j, the sum of |gain|^2 over the R copies of data bin j: (..., M) -> (..., M/R)."""
+    return _in_data_order(np.abs(gain) ** 2, cfg)
+
+
+def _in_data_order(values: np.ndarray, cfg: FrameConfig) -> np.ndarray:
+    """Sum the R copies, (..., M) -> (..., M/R), into data-bin order.
+
+    The fold starts at bin l_down mod (M/R); rolling by that shift is the one
+    place the rotation of ``modulate``'s subcarrier-to-data-bin map is undone.
+    """
+    shift = band_limits(cfg.subcarriers)[0] % cfg.symbols_per_frame
+    return np.roll(_fold(values, cfg.repetition), shift, axis=-1)
+
+
+def _mmse_weights(combined_gain: np.ndarray, noise_var: float) -> np.ndarray:
+    """The single-tap MMSE weights 1/(G + noise_var) of the combined bins."""
     if noise_var == 0 and not np.all(combined_gain > 0):
         raise ValueError(
             "noise_var = 0 (zero-forcing) needs nonzero combined gain on every bin;"
             f" {int(np.sum(combined_gain == 0))} of {combined_gain.size} bins have none"
         )
-    return numerics.dft(combined * (1.0 / (combined_gain + noise_var)), inverse=True)
+    return 1.0 / (combined_gain + noise_var)
+
+
+def _despread(combined: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The combined bins times ``_mmse_weights``, then the (M/R)-point despreading IDFT."""
+    return numerics.dft(combined * weights, inverse=True)
 
 
 def _fold(values: np.ndarray, r: int) -> np.ndarray:

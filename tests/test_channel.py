@@ -9,6 +9,15 @@ from chirplink import channel
 from chirplink.channel import ChannelProfile
 
 
+@st.composite
+def profiles(draw):
+    """1-4 taps at strictly increasing delays of at most 15 samples."""
+    taps = draw(st.integers(1, 4))
+    delays = sorted(draw(st.sets(st.integers(0, 15), min_size=taps, max_size=taps)))
+    powers = draw(st.lists(st.floats(-30.0, 0.0), min_size=taps, max_size=taps))
+    return ChannelProfile(tuple(powers), draw(st.floats(0.0, 100.0)), tuple(delays))
+
+
 class TestProfile:
     def test_default_profile(self):
         p = ChannelProfile()
@@ -100,6 +109,18 @@ class TestDraw:
             channel.apply(x, batch), [channel.apply(row, h) for row, h in zip(x, singles)]
         )
 
+    @settings(max_examples=40, deadline=None)
+    @given(profile=profiles(), count=st.none() | st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_taps_are_the_draw_at_its_delays(self, profile, count, seed):
+        # same numbers from the generator, and nothing else taken from it
+        rng_taps, rng_draw = np.random.default_rng(seed), np.random.default_rng(seed)
+        taps = channel.draw_taps(profile, rng_taps, count)
+        h = channel.draw(profile, rng_draw, count)
+        assert taps.shape == h.shape[:-1] + (len(profile.tap_delays),)
+        np.testing.assert_array_equal(taps, h[..., list(profile.tap_delays)])
+        assert rng_taps.standard_normal() == rng_draw.standard_normal()
+
     def test_realization_validation(self):
         # the impulse response is checked where it is used: apply and freq_response
         x = np.ones(8, dtype=complex)
@@ -125,15 +146,6 @@ class TestApply:
         expect = np.zeros(8, dtype=complex)
         expect[0], expect[1] = 1.0, 0.5
         np.testing.assert_allclose(y, expect)
-
-
-@st.composite
-def profiles(draw):
-    """1-4 taps at strictly increasing delays of at most 15 samples."""
-    taps = draw(st.integers(1, 4))
-    delays = sorted(draw(st.sets(st.integers(0, 15), min_size=taps, max_size=taps)))
-    powers = draw(st.lists(st.floats(-30.0, 0.0), min_size=taps, max_size=taps))
-    return ChannelProfile(tuple(powers), draw(st.floats(0.0, 100.0)), tuple(delays))
 
 
 class TestFreqResponse:
@@ -192,3 +204,25 @@ class TestFreqResponse:
         h[0], h[40] = 1.0, 0.5
         with pytest.raises(ValueError):
             channel.apply(np.ones(8, dtype=complex), h)
+
+
+class TestSteering:
+    @settings(max_examples=60, deadline=None)
+    @given(profile=profiles(), n=st.integers(16, 4096), m=st.integers(1, 4096),
+           count=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_matches_freq_response_on_the_bins(self, profile, n, m, count, seed):
+        m = min(m, n)
+        bins = np.arange(-(m // 2), m - m // 2) % n  # a band around DC, in FFT order
+        h = channel.draw(profile, np.random.default_rng(seed), count)
+        delays = list(profile.tap_delays)
+        lhs = h[:, delays] @ channel.steering(delays, bins, n)
+        rhs = channel.freq_response(h, n)[:, bins]
+        assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+    def test_phase_index_is_exact_beyond_int64(self):
+        # -1 * k mod n, though (n - 1) * k overflows int64
+        n = 2**61 - 1
+        steer = channel.steering([0, n - 1], np.array([n // 3, n // 4]), n)
+        np.testing.assert_array_equal(steer[0], [1.0, 1.0])
+        expected = np.exp(-2j * np.pi * np.array([n - n // 3, n - n // 4]) / n)
+        np.testing.assert_allclose(steer[1], expected, rtol=0, atol=1e-15)

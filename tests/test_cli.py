@@ -1,6 +1,7 @@
 """Command-line surface: flags, config validation, exit codes, reproducibility."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import math
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from chirplink import __version__, analysis, cli, fdss, transceiver
 from chirplink.channel import ChannelProfile
-from chirplink.simulation import WAVEFORMS, LinkConfig, design_filter
+from chirplink.simulation import WAVEFORMS, LinkConfig, design_filter, run_ber_sweep
 from chirplink.transceiver import FrameConfig
 from oracles import render_frames
 
@@ -872,12 +873,20 @@ def _fuzz_values(path: str):
 
 
 @st.composite
-def fuzzed_configs(draw):
-    """A shipped config, shrunk to one grid value and 64 frames, with one to three keys redrawn."""
+def fuzzed_configs(draw, any_grid: bool = False):
+    """A shipped config, shrunk to one grid value and 64 frames, with one to three keys redrawn.
+
+    With ``any_grid``, ``frame/idft_size`` is also set to any integer from 1
+    to ``MAX_IDFT_SIZE``, and zero to two other keys are redrawn.
+    """
     raw = yaml.safe_load(draw(st.sampled_from(SHIPPED_CONFIGS)).read_text())
     raw["sweep"].update(ebn0_db=raw["sweep"]["ebn0_db"][:1], max_frames=64)
+    if any_grid:
+        raw["frame"]["idft_size"] = draw(st.integers(1, transceiver.MAX_IDFT_SIZE))
     paths = SCALAR_KEYS + LIST_KEYS + ["frame", "channel", "sweep", "analysis"]
-    for path in draw(st.lists(st.sampled_from(paths), min_size=1, max_size=3, unique=True)):
+    keys = st.lists(st.sampled_from(paths), min_size=1 - any_grid, max_size=3 - any_grid,
+                    unique=True)
+    for path in draw(keys):
         *section, key = path.split("/")
         table = raw.setdefault(section[0], {}) if section else raw
         if isinstance(table, dict):  # a section redrawn as a scalar has no keys left
@@ -906,3 +915,18 @@ class TestFuzzedConfigs:
                     assert err.getvalue().count("\n") == 1, err.getvalue()
                     left = [p.name for p in Path(tmp).iterdir()]
                     assert not [n for n in left if n.startswith((command, ".chirplink-"))], left
+
+    @settings(max_examples=60, deadline=None)
+    @given(raw=fuzzed_configs(any_grid=True))
+    def test_every_constructed_config_runs(self, raw):
+        # a config that constructs can run, whatever its transform size
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.yaml"
+            path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+            try:
+                cfg = cli.link_config_from(cli.load_config(path))
+            except ValueError:
+                return
+        short = dataclasses.replace(cfg, ebn0_grid_db=cfg.ebn0_grid_db[:1], max_frames=16)
+        point = run_ber_sweep(short).points[0]
+        assert point.frame_count <= 16 and math.isfinite(point.simulated_ber)

@@ -3,13 +3,14 @@
 import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chirplink import analysis, channel, simulation, transceiver
+from chirplink import analysis, channel, numerics, simulation, transceiver
 from chirplink.channel import ChannelProfile
 from chirplink.fdss import design_plain
 from chirplink.simulation import (
@@ -295,30 +296,40 @@ class TestSweep:
         assert point.simulated_ber > point.theoretical_ber
 
 
+def impulse(profile: ChannelProfile, taps: np.ndarray) -> np.ndarray:
+    """The impulse responses over delays 0 .. max_delay that hold ``taps`` at the tap delays."""
+    h = np.zeros(taps.shape[:-1] + (profile.max_delay + 1,), dtype=complex)
+    h[..., list(profile.tap_delays)] = taps
+    return h
+
+
 def replay_point(cfg: LinkConfig, counts: list | None = None) -> BerPoint:
     """The first grid point of ``cfg``, one single-frame band-domain call at a time.
 
-    Takes each block from ``simulation._draw_block``, forms each frame's
-    occupied band as H * band + sqrt(1/(2 rho)) * (n_re + j n_im), and stops
-    at the first frame that meets the targets or the frame cap.  ``counts``,
-    if given, receives the running (bits, errors) after every frame.
+    Takes each block from ``simulation._draw_block``, combines each frame's
+    noiseless occupied band H * band with ``transceiver._combine``, adds the
+    combined noise sqrt(G/(2 rho)) * (n_re + j n_im) where ``_despread``
+    sees it, and stops at the first frame that meets the targets or the
+    frame cap.  ``counts``, if given, receives the running (bits, errors)
+    after every frame.
     """
     frame, filt, ebn0 = cfg.frame, cfg.filter, cfg.ebn0_grid_db[0]
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(len(cfg.ebn0_grid_db))[0])
     rho = ebn0_to_subcarrier_snr(ebn0, frame)
-    scale = np.sqrt(1.0 / (2.0 * rho))
     bins = filt.subcarriers % frame.idft_size
     errors = bits_sent = frames = 0
     while True:
         block = min(simulation.FRAME_BLOCK, cfg.max_frames - frames)
-        bits, chans, noise = simulation._draw_block(cfg, rng, block)
+        bits, taps, noise = simulation._draw_block(cfg, rng, block)
         for i in range(block):
             band = modulate(DataFrame.from_bits(bits[i]), filt, frame).band
             h = np.ones(frame.subcarriers)
-            if chans is not None:
-                h = channel.freq_response(chans[i], frame.idft_size)[bins]
-            rx = h * band + scale * (noise[0, i] + 1j * noise[1, i])
-            symbols = equalize(rx, h * filt.coeffs, frame, 1.0 / rho)
+            if taps is not None:
+                h = channel.freq_response(impulse(cfg.channel_profile, taps[i]),
+                                          frame.idft_size)[bins]
+            combined, gain = transceiver._combine(h * band, h * filt.coeffs, frame)
+            combined += np.sqrt(gain / (2.0 * rho)) * (noise[0, i] + 1j * noise[1, i])
+            symbols = transceiver._despread(combined, 1.0 / (gain + 1.0 / rho))
             errors += int(np.sum(qpsk_demap(symbols) != bits[i]))
             bits_sent += frame.bits_per_frame
             frames += 1
@@ -363,27 +374,55 @@ class TestBlockEngine:
     @given(numerology=numerologies(), count=st.integers(1, simulation.FRAME_BLOCK),
            snr_db=st.floats(-5.0, 30.0), seed=st.integers(0, 2**32 - 1))
     def test_kernel_matches_band_chain(self, numerology, count, snr_db, seed):
-        # one block of draws on the combined bins against modulate, the band
-        # channel from freq_response, the band noise and equalize
+        # one block of draws with zero noise on the combined bins against
+        # modulate, the band channel from freq_response and equalize
         frame, profile = numerology
         cfg = LinkConfig(frame=frame, channel_profile=profile, ebn0_grid_db=(0.0,))
         rng = np.random.default_rng(seed)
         filt = random_filter(rng, frame.subcarriers)
-        bits, h, noise = simulation._draw_block(cfg, rng, count)
+        bits, taps, noise = simulation._draw_block(cfg, rng, count)
         rho = 10.0 ** (snr_db / 10.0)
-        kernel = simulation._block_kernel(cfg, filt, rho)(bits, h, noise)
+        symbols = simulation._block_kernel(cfg, filt, rho)
+        kernel = symbols(bits, taps, np.zeros_like(noise))
         h_band = np.ones(frame.subcarriers)
-        if h is not None:
-            h_band = channel.freq_response(h, frame.idft_size)[:, frame.bins]
+        if taps is not None:
+            h_band = channel.freq_response(impulse(profile, taps), frame.idft_size)[:, frame.bins]
         band = modulate(DataFrame.from_bits(bits), filt, frame).band
-        rx = h_band * band + np.sqrt(0.5 / rho) * (noise[0] + 1j * noise[1])
-        chain = equalize(rx, h_band * filt.coeffs, frame, 1.0 / rho)
+        chain = equalize(h_band * band, h_band * filt.coeffs, frame, 1.0 / rho)
         assert kernel.shape == chain.shape == (count, frame.symbols_per_frame)
         assert np.max(np.abs(kernel - chain)) < 1e-12
+        # the noise reaches combined bin j as sqrt(G_j/(2 rho)) (n_re + j n_im)
+        gain = transceiver._combined_gain(h_band * filt.coeffs, frame)
+        combined_noise = numerics.dft(symbols(bits, taps, noise) - kernel)
+        combined_noise *= gain + 1.0 / rho
+        expected = np.sqrt(gain / (2.0 * rho)) * (noise[0] + 1j * noise[1])
+        assert np.max(np.abs(combined_noise - expected)) < 1e-12 * max(1.0, np.max(gain) + 1.0 / rho)
+
+    @settings(max_examples=60, deadline=None)
+    @given(numerology=numerologies(), seed=st.integers(0, 2**32 - 1))
+    def test_combined_noise_distribution(self, numerology, seed):
+        # The chain's combined noise is A w for the band noise w ~ CN(0, I/rho)
+        # and the map A = _combine(., gain) of the band.  It has the kernel's
+        # distribution CN(0, diag(G)/rho) exactly when A A^H = diag(G) and A
+        # has no conjugate part (then A w is circular, as w is).
+        frame, profile = numerology
+        rng = np.random.default_rng(seed)
+        gain = random_filter(rng, frame.subcarriers).coeffs
+        if profile is not None:
+            h = channel.draw(profile, rng)
+            gain = channel.freq_response(h, frame.idft_size)[frame.bins] * gain
+        m = frame.subcarriers
+        a = transceiver._combine(np.eye(m), gain, frame)[0].T  # (M/R, M): combined = a @ band
+        g = transceiver._combined_gain(gain, frame)
+        scale = max(1.0, np.max(g))
+        assert np.max(np.abs(a @ a.conj().T - np.diag(g))) < 1e-12 * scale
+        w = np.array([1.0, 1j]) @ rng.standard_normal((2, m))
+        for band in (w, 1j * w):
+            assert np.max(np.abs(transceiver._combine(band, gain, frame)[0] - a @ band)) < 1e-12 * scale
 
     def test_non_finite_channel_raises(self, monkeypatch):
         # a NaN channel must not turn into a silent BER
-        monkeypatch.setattr(channel, "draw", lambda profile, rng, count: np.full((count, 3), np.nan))
+        monkeypatch.setattr(channel, "draw_taps", lambda profile, rng, count: np.full((count, 3), np.nan))
         cfg = LinkConfig(channel_profile=ChannelProfile(), ebn0_grid_db=(10.0,))
         with pytest.raises(ValueError, match="^channel gain must be finite"):
             run_ber_sweep(cfg)
@@ -401,13 +440,13 @@ class TestBlockEngine:
     PINNED_ROWS = [
         (dict(frame=FrameConfig(repetition=4), waveform="sinusoidal", ebn0_grid_db=(4.0, 6.0),
               min_bits=20_000, min_errors=50),
-         "a74039b949f53fa4d3f1a9fd0f52ad3633808dfe69ff98c369ecdd2edd3cec9d"),
+         "065bdf63d48d948028da6ccb8c1e71f51a723615b5caeec34fb0ca5bc6cff848"),
         (dict(waveform="triangular", channel_profile=ChannelProfile(), ebn0_grid_db=(12.0,),
               min_bits=10_000, min_errors=20),
-         "b41b5e3df47b3e6c6dbe46353d48228172923ec22b87cf35f438f52459515592"),
+         "c1396f52bd9abef29dfff8b8ff50dfd630c88756da1143d85c78c0980716231f"),
         (dict(frame=FrameConfig(repetition=4), waveform="linear", channel_profile=ChannelProfile(),
               ebn0_grid_db=(8.0, 12.0), min_bits=10_000, min_errors=40),
-         "5d044df38f0bf1a7c97347e2dc3a613404eec6fd98e8d09e05604c1ff1ba1746"),
+         "5a360378f892dc54fcf2b8b7c4aacc77f08097b83ce3ca2028788f22cc552d86"),
     ]
 
     @pytest.mark.parametrize("kwargs, digest", PINNED_ROWS, ids=["awgn", "multipath", "multipath_r4"])
@@ -415,6 +454,33 @@ class TestBlockEngine:
         text = run_ber_sweep(LinkConfig(seed=11, **kwargs)).csv_text()
         rows = "".join(ln for ln in text.splitlines(keepends=True) if not ln.startswith("#"))
         assert hashlib.sha256(rows.encode()).hexdigest() == digest
+
+
+class TestMemory:
+    """A sweep point allocates O(K * M): nothing grows with N or with the largest delay."""
+
+    @staticmethod
+    def _peak_bytes(frame, profile):
+        cfg = LinkConfig(frame=frame, channel_profile=profile, ebn0_grid_db=(10.0,),
+                         min_bits=10_000, max_frames=16)
+        run_ber_sweep(cfg)  # first-call allocations (FFT plans, caches) are not the point's
+        tracemalloc.start()
+        try:
+            run_ber_sweep(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # An N-point transform of one unit impulse per delay peaked at 0.7 MB at
+    # N = 512, 50 MB at N = 2^20 and 201 MB at N = 2^22, and at 909 MB for
+    # delays (0, 4000) at N = 8192.
+    @pytest.mark.parametrize("frame, profile", [
+        (FrameConfig(idft_size=2**22), ChannelProfile()),
+        (FrameConfig(idft_size=8192, cp_len=4000), ChannelProfile((0.0, -3.0), 10.0, (0, 4000))),
+    ], ids=["large_grid", "long_delay"])
+    def test_peak_bounded_by_the_default(self, frame, profile):
+        default = self._peak_bytes(FrameConfig(), ChannelProfile())
+        assert self._peak_bytes(frame, profile) < 2 * default
 
 
 class TestStoppingRule:
