@@ -884,8 +884,8 @@ def fuzzed_configs(draw, any_grid: bool = False):
     if any_grid:
         raw["frame"]["idft_size"] = draw(st.integers(1, transceiver.MAX_IDFT_SIZE))
     paths = SCALAR_KEYS + LIST_KEYS + ["frame", "channel", "sweep", "analysis"]
-    keys = st.lists(st.sampled_from(paths), min_size=1 - any_grid, max_size=3 - any_grid,
-                    unique=True)
+    fewest = 0 if any_grid else 1
+    keys = st.lists(st.sampled_from(paths), min_size=fewest, max_size=fewest + 2, unique=True)
     for path in draw(keys):
         *section, key = path.split("/")
         table = raw.setdefault(section[0], {}) if section else raw

@@ -396,7 +396,8 @@ class TestBlockEngine:
         combined_noise = numerics.dft(symbols(bits, taps, noise) - kernel)
         combined_noise *= gain + 1.0 / rho
         expected = np.sqrt(gain / (2.0 * rho)) * (noise[0] + 1j * noise[1])
-        assert np.max(np.abs(combined_noise - expected)) < 1e-12 * max(1.0, np.max(gain) + 1.0 / rho)
+        tol = 1e-12 * max(1.0, np.max(gain) + 1.0 / rho)
+        assert np.max(np.abs(combined_noise - expected)) < tol
 
     @settings(max_examples=60, deadline=None)
     @given(numerology=numerologies(), seed=st.integers(0, 2**32 - 1))
@@ -418,11 +419,13 @@ class TestBlockEngine:
         assert np.max(np.abs(a @ a.conj().T - np.diag(g))) < 1e-12 * scale
         w = np.array([1.0, 1j]) @ rng.standard_normal((2, m))
         for band in (w, 1j * w):
-            assert np.max(np.abs(transceiver._combine(band, gain, frame)[0] - a @ band)) < 1e-12 * scale
+            combined = transceiver._combine(band, gain, frame)[0]
+            assert np.max(np.abs(combined - a @ band)) < 1e-12 * scale
 
     def test_non_finite_channel_raises(self, monkeypatch):
         # a NaN channel must not turn into a silent BER
-        monkeypatch.setattr(channel, "draw_taps", lambda profile, rng, count: np.full((count, 3), np.nan))
+        monkeypatch.setattr(channel, "draw_taps",
+                            lambda profile, rng, count: np.full((count, 3), np.nan))
         cfg = LinkConfig(channel_profile=ChannelProfile(), ebn0_grid_db=(10.0,))
         with pytest.raises(ValueError, match="^channel gain must be finite"):
             run_ber_sweep(cfg)
@@ -471,9 +474,9 @@ class TestMemory:
         finally:
             tracemalloc.stop()
 
-    # An N-point transform of one unit impulse per delay peaked at 0.7 MB at
-    # N = 512, 50 MB at N = 2^20 and 201 MB at N = 2^22, and at 909 MB for
-    # delays (0, 4000) at N = 8192.
+    # Steering by an N-point transform of one unit impulse per delay peaks at
+    # 0.7 MB at N = 512, 50 MB at N = 2^20 and 201 MB at N = 2^22, and at
+    # 909 MB for delays (0, 4000) at N = 8192: far outside this bound.
     @pytest.mark.parametrize("frame, profile", [
         (FrameConfig(idft_size=2**22), ChannelProfile()),
         (FrameConfig(idft_size=8192, cp_len=4000), ChannelProfile((0.0, -3.0), 10.0, (0, 4000))),
