@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fdss import FdssFilter
-from .numerics import require_number
+from .numerics import require_number, require_numbers
 from .transceiver import _fold
 
 
@@ -55,6 +55,24 @@ def usable_snr(snr: float, repetition: int) -> bool:
         return 0.0 < s < math.inf and 0.0 < r / s < math.inf
     except OverflowError:  # r / s converts r to a float first
         return False
+
+
+def usable_grid(name: str, grid_db, repetition: int, to_snr) -> tuple[tuple, list]:
+    """A grid in dB as a tuple of floats, and its combined-level SNRs ``to_snr(value)``.
+
+    Raises ``ValueError`` naming ``name`` unless the grid is a nonempty
+    1-d sequence of numbers and ``usable_snr`` admits every SNR at
+    ``repetition``; the message lists the values it does not admit.
+    """
+    grid_db = tuple(float(v) for v in require_numbers(name, grid_db))
+    if not grid_db:
+        raise ValueError(f"{name} must be nonempty")
+    snr = [to_snr(v) for v in grid_db]
+    bad = [v for v, s in zip(grid_db, snr) if not usable_snr(s, repetition)]
+    if bad:
+        raise ValueError(f"{name} values {bad} do not give a combined SNR s with s and R/s"
+                         f" finite and positive (R = {repetition})")
+    return grid_db, snr
 
 
 def snr_post(filt: FdssFilter, snr: float, repetition: int = 1) -> SnrPostReport:

@@ -5,16 +5,18 @@ at consecutive sample delays, first tap Rician with K = 10 (linear), the
 rest Rayleigh.  Tap powers are normalized so the average channel energy is
 one.  A realization is held constant over a symbol and redrawn per frame.
 
-A realization is its impulse response: a complex array over delays
-0 .. max_delay, each tap at its delay.  It may hold one frame, shape
-(max_delay + 1,), or a block of B frames, (B, max_delay + 1); ``apply`` and
+A realization is the complex gains of the profile's K taps: shape (K,) for
+one frame, or (B, K) for a block of B frames; ``apply`` and
 ``freq_response`` then act on each frame along the last axis, row for row
-as the single-frame calls would.  ``steering`` gives the frequency response
-on a few bins from the taps alone, as the BER sweep takes it.
+as the single-frame calls would.  The profile holds the delays, so neither
+builds an array over delays 0 .. max_delay: ``apply`` is a tapped delay
+line over the K taps and ``freq_response`` gives the response on a few
+bins, as the BER sweep takes it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +44,7 @@ class ChannelProfile:
         ):
             raise ValueError("tap_delays must be non-negative and strictly increasing")
         require_number("rician_k", self.rician_k)
-        if not (np.isfinite(self.rician_k) and self.rician_k >= 0):
+        if not (math.isfinite(self.rician_k) and self.rician_k >= 0):
             raise ValueError(f"rician_k must be finite and >= 0, got {self.rician_k}")
 
     @property
@@ -57,30 +59,16 @@ class ChannelProfile:
         return self.tap_delays[-1]
 
 
-def _impulse(h) -> np.ndarray:
-    """The caller's impulse response as a complex array, checked nonempty and finite."""
-    h = np.asarray(h, dtype=complex)
-    if h.ndim < 1 or h.shape[-1] == 0 or not np.all(np.isfinite(h)):
-        raise ValueError(f"impulse response must be nonempty and finite, got shape {h.shape}")
-    return h
+def _taps(profile: ChannelProfile, taps) -> np.ndarray:
+    """The caller's tap gains as a complex array, checked: K finite gains on the last axis."""
+    taps = np.asarray(taps, dtype=complex)
+    k = len(profile.tap_delays)
+    if taps.ndim < 1 or taps.shape[-1] != k or not np.all(np.isfinite(taps)):
+        raise ValueError(f"taps must be finite, {k} on the last axis, got shape {taps.shape}")
+    return taps
 
 
 def draw(
-    profile: ChannelProfile, rng: np.random.Generator, count: int | None = None
-) -> np.ndarray:
-    """Draw one impulse response, shape (max_delay + 1,), or ``count`` as (count, ·).
-
-    ``draw_taps``' gains, each written to its delay; delays without a tap
-    are zero.  Row i equals the (i+1)-th of ``count`` single draws from the
-    same generator.
-    """
-    taps = draw_taps(profile, rng, count)
-    h = np.zeros(taps.shape[:-1] + (profile.max_delay + 1,), dtype=complex)
-    h[..., list(profile.tap_delays)] = taps
-    return h
-
-
-def draw_taps(
     profile: ChannelProfile, rng: np.random.Generator, count: int | None = None
 ) -> np.ndarray:
     """Draw the complex gains of the profile's K taps, shape (K,), or (count, K).
@@ -88,8 +76,8 @@ def draw_taps(
     Tap 0 is Rician: deterministic component sqrt(p0*K/(K+1)) plus circular
     complex Gaussian of variance p0/(K+1).  Remaining taps are circular
     complex Gaussian (Rayleigh envelopes) with variances p_i.  All normals
-    come from one ``standard_normal((count, K, 2))`` call, so ``draw`` and
-    ``draw_taps`` take the same numbers from a generator.
+    come from one ``standard_normal((count, K, 2))`` call, so row i equals
+    the (i+1)-th of ``count`` single draws from the same generator.
     """
     p = profile.tap_powers
     k = profile.rician_k
@@ -102,47 +90,39 @@ def draw_taps(
     return taps
 
 
-def apply(signal, h) -> np.ndarray:
+def apply(signal, profile: ChannelProfile, taps) -> np.ndarray:
     """Tapped-delay-line filtering (no noise), truncated to the input length.
 
-    The discarded convolution tail is what the cyclic prefix absorbs.  The
-    result is a fresh array.
+    y_t = sum_i g_i x_{t - d_i} over the K taps.  The discarded convolution
+    tail is what the cyclic prefix absorbs.  The result is a fresh array.
     """
     x = np.asarray(signal, dtype=complex)
-    h = _impulse(h)
+    taps = _taps(profile, taps)
     length = x.shape[-1]
-    if length < h.shape[-1] - 1:
+    if length < profile.max_delay:
         raise ValueError("signal shorter than the channel memory")
-    # y_k = sum_d h_d x_{k-d}, one shifted multiply-add per delay.
-    y = h[..., :1] * x
-    for d in range(1, h.shape[-1]):
-        y[..., d:] += h[..., d : d + 1] * x[..., : length - d]
+    y = np.zeros(np.broadcast_shapes(taps.shape[:-1] + (1,), x.shape), dtype=complex)
+    for i, d in enumerate(profile.tap_delays):
+        y[..., d:] += taps[..., i : i + 1] * x[..., : length - d]
     return y
 
 
-def freq_response(h, n: int) -> np.ndarray:
-    """Frequency response H_k = sum_d h_d e^{-j 2 pi k d / n}, natural order.
+def freq_response(profile: ChannelProfile, taps, bins, n: int) -> np.ndarray:
+    """H_k = sum_i g_i e^{-j 2 pi (d_i k mod n) / n} on each of ``bins``.
 
-    Shape (n,) for one impulse response, (B, n) for B.  For any frame whose
-    CP covers the channel memory, the DFT of the channel output equals H_k
-    times the DFT of the body bin by bin.
+    Shape (len(bins),) for one realization, (B, len(bins)) for B, in
+    O(K * len(bins)) time and memory whatever n and the largest delay.  The
+    phase index d k mod n is exact: it is taken in Python integers, as d k
+    can exceed int64.  For any frame whose CP covers the channel memory, the
+    n-point DFT of the channel output equals H_k times the DFT of the body
+    bin by bin.
     """
-    h = _impulse(h)
-    memory = h.shape[-1] - 1
+    taps = _taps(profile, taps)
+    require_number("n", n, count=True)
+    memory = profile.max_delay
     if n <= memory:
-        raise ValueError(f"need n > the channel memory {memory}, got n = {n}")
-    return np.fft.fft(h, n, axis=-1)
-
-
-def steering(delays, bins, n: int) -> np.ndarray:
-    """e^{-j 2 pi (d k mod n) / n} for each delay d (rows) and bin k (columns).
-
-    ``h[..., delays] @ steering(delays, bins, n)`` equals
-    ``freq_response(h, n)[..., bins]`` for an impulse response that is zero
-    off ``delays``, in O(len(delays) * len(bins)) time and memory whatever
-    n and the largest delay.  The phase index d k mod n is exact: it is
-    taken in Python integers, as d k can exceed int64.
-    """
-    index = np.outer(np.array([int(d) for d in delays], dtype=object),
+        raise ValueError(f"n must be > the channel memory {memory}, got {n}")
+    index = np.outer(np.array([int(d) for d in profile.tap_delays], dtype=object),
                      np.asarray(bins).astype(object)) % int(n)
-    return np.exp(-2j * np.pi * (index / int(n)).astype(float))
+    steer = np.exp(-2j * np.pi * (index / int(n)).astype(float))
+    return np.sum(taps[..., None] * steer, axis=-2)  # one order of sums: rows are single calls

@@ -32,7 +32,6 @@ from . import __version__
 from . import analysis, simulation, transceiver
 from .channel import ChannelProfile
 from .fdss import DEFAULT_DEVIATION
-from .numerics import require_numbers
 from .simulation import LinkConfig, WAVEFORMS, design_filter
 from .transceiver import DataFrame, FrameConfig
 
@@ -112,20 +111,11 @@ def link_config_from(raw: dict) -> LinkConfig:
 def snr_grid(raw: dict, repetition: int) -> tuple[tuple, list]:
     """The ``analyze --mode snrpost`` grid: values in dB and linear SNRs.
 
-    Raises ``ValueError`` naming ``analysis/snr_db`` unless it is a
-    nonempty list of numbers and ``analysis.usable_snr`` admits every
-    linear SNR at the frame's repetition factor.
+    ``analysis.usable_grid`` of ``analysis/snr_db`` at the frame's
+    repetition factor, each value taken from dB by ``db_to_linear``.
     """
     grid_db = raw.get("analysis", {}).get("snr_db", np.arange(-10.0, 31.0, 2.0))
-    grid_db = require_numbers("analysis/snr_db", grid_db)
-    if not grid_db:
-        raise ValueError("analysis/snr_db must be nonempty")
-    snr = [simulation.db_to_linear(s) for s in grid_db]
-    bad = [s for s, v in zip(grid_db, snr) if not analysis.usable_snr(v, repetition)]
-    if bad:
-        raise ValueError(f"analysis/snr_db values {bad} do not give an SNR s with s and R/s"
-                         f" finite and positive (R = {repetition})")
-    return grid_db, snr
+    return analysis.usable_grid("analysis/snr_db", grid_db, repetition, simulation.db_to_linear)
 
 
 def _echo_header(raw: dict) -> str:

@@ -23,6 +23,7 @@ energy, and the loss is one minus the in-band energy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,7 +115,7 @@ def _from_fourier(raw: np.ndarray, m: int) -> FdssFilter:
 
 def _check_deviation(deviation: float, m: int) -> None:
     numerics.require_number("deviation", deviation)
-    if not np.isfinite(deviation):
+    if not math.isfinite(deviation):
         raise ValueError("deviation must be finite")
     if deviation > m:
         raise ValueError(f"deviation {deviation} exceeds the occupied band of {m} subcarriers")
@@ -190,10 +191,10 @@ class ChirpTrajectory:
         if a.shape != b.shape or a.ndim != 1 or len(a) < 1:
             raise ValueError("cos_coeffs and sin_coeffs must be 1-d arrays of equal length >= 1")
         numerics.require_number("a0", self.a0)
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and np.isfinite(self.a0)):
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and math.isfinite(self.a0)):
             raise ValueError("trajectory coefficients must be finite")
         numerics.require_number("deviation", self.deviation)
-        if not (np.isfinite(self.deviation) and self.deviation > 0):
+        if not (math.isfinite(self.deviation) and self.deviation > 0):
             raise ValueError("deviation must be positive")
         object.__setattr__(self, "cos_coeffs", a)
         object.__setattr__(self, "sin_coeffs", b)

@@ -32,8 +32,6 @@ import numpy as np
 from scipy import special as _special
 from scipy.fft import next_fast_len
 
-_MAX_ARG = 1e6
-
 
 def require_number(name: str, value, count: bool = False):
     """Return ``value`` if it is a real number a float can hold, or an integer if ``count``.
@@ -70,8 +68,8 @@ def bessel_j_sequence(max_order: int, x: float) -> np.ndarray:
     Order k sits at index K + k.  ``jv`` evaluates orders 0..K only; the
     negative half mirrors them by J_-k = (-1)^k J_k, exact as computed.
     """
-    if not 0 <= x <= _MAX_ARG:  # NaN fails too
-        raise ValueError(f"bessel argument must be in [0, {_MAX_ARG:g}], got {x}")
+    if not 0 <= x < np.inf:  # NaN fails too
+        raise ValueError(f"bessel argument must be finite and >= 0, got {x}")
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
     orders = np.arange(max_order + 1)

@@ -20,11 +20,11 @@ CN(0, G_j/rho): a frame needs M/R complex normals, not M.  A block
 therefore goes from its draw straight to those bins: G by
 ``transceiver._combined_gain``, the fold and roll of ``equalize``'s
 ``_combine``, then ``equalize``'s own ``_despread``.  g is the filter over
-AWGN, or the K tap gains (``channel.draw_taps``) times a per-point
-(K, M) steering matrix over multipath, ``channel.steering`` of the tap
-delays on the occupied bins times c_k; no modulator, IDFT, CP, channel
-filter, N-point transform or receiver DFT runs per frame, and no array
-grows with N or with the largest delay.  The combined bins
+AWGN, or the K tap gains (``channel.draw``) times a per-point (K, M)
+matrix over multipath, ``channel.freq_response`` of the K unit tap
+realizations on the occupied bins times c_k; no modulator, IDFT, CP,
+channel filter, N-point transform or receiver DFT runs per frame, and no
+array grows with N or with the largest delay.  The combined bins
 have the distribution of those ``equalize`` forms from the time-domain
 chain (the tests check the noiseless bins against it and the combining
 map's covariance), so the BER has that chain's distribution; the draws
@@ -52,7 +52,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import analysis, channel, fdss, numerics, transceiver
-from .numerics import require_number, require_numbers
+from .numerics import require_number
 from .transceiver import FrameConfig
 
 WAVEFORMS = ("plain", "linear", "sinusoidal", "triangular")
@@ -83,7 +83,7 @@ def design_filter(
     if m > transceiver.MAX_IDFT_SIZE:
         raise ValueError(f"subcarriers must be <= {transceiver.MAX_IDFT_SIZE}, got {m}")
     require_number("n_harmonics", n_harmonics, count=True)
-    if not (np.isfinite(deviation) and deviation > 0):
+    if not (math.isfinite(deviation) and deviation > 0):
         raise ValueError(f"deviation must be finite and > 0, got {deviation}")
     if n_harmonics < 1:
         raise ValueError(f"n_harmonics must be >= 1, got {n_harmonics}")
@@ -123,16 +123,10 @@ class LinkConfig:
     def __post_init__(self):
         for name in ("min_bits", "min_errors", "max_frames", "seed"):
             require_number(name, getattr(self, name), count=True)
-        grid = require_numbers("ebn0_grid_db (config sweep/ebn0_db)", self.ebn0_grid_db)
-        object.__setattr__(self, "ebn0_grid_db", tuple(float(e) for e in grid))
-        if not self.ebn0_grid_db:
-            raise ValueError("ebn0_grid_db (config sweep/ebn0_db) must be nonempty")
         r = self.frame.repetition
-        bad = [e for e in self.ebn0_grid_db
-               if not analysis.usable_snr(r * ebn0_to_subcarrier_snr(e, self.frame), r)]
-        if bad:
-            raise ValueError(f"ebn0_grid_db (config sweep/ebn0_db) values {bad} do not give a"
-                             f" combined SNR s = R*rho with s, R/s finite and positive (R = {r})")
+        grid, _ = analysis.usable_grid("ebn0_grid_db (config sweep/ebn0_db)", self.ebn0_grid_db,
+                                       r, lambda e: r * ebn0_to_subcarrier_snr(e, self.frame))
+        object.__setattr__(self, "ebn0_grid_db", grid)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.min_bits < 10_000:
@@ -210,18 +204,17 @@ def _draw_block(cfg: LinkConfig, rng: np.random.Generator, b: int):
     The bits, ``integers(0, 256, (b, ceil(bits_per_frame / 8)), uint8)``
     bytes unpacked along each row (most significant bit first) to
     ``bits_per_frame`` uint8 bits; for multipath only, the (b, K) tap gains
-    ``taps = channel.draw_taps(profile, rng, b)`` (else None), the values
-    ``channel.draw`` writes at the K tap delays;
-    then the real and the imaginary combined noise, each (b, M/R) standard
-    normals, as ``noise[0]`` and ``noise[1]``: times sqrt(G_j/(2 rho)) they
-    make the CN(0, G_j/rho) noise on combined bin j.  This order, these
+    ``taps = channel.draw(profile, rng, b)`` (else None); then the real
+    and the imaginary combined noise, each (b, M/R) standard normals, as
+    ``noise[0]`` and ``noise[1]``: times sqrt(G_j/(2 rho)) they make the
+    CN(0, G_j/rho) noise on combined bin j.  This order, these
     shapes and ``FRAME_BLOCK`` fix the BER CSV bytes.
     """
     n_bits = cfg.frame.bits_per_frame
     octets = rng.integers(0, 256, (b, -(-n_bits // 8)), dtype=np.uint8)
     bits = np.unpackbits(octets, axis=-1, count=n_bits)
     profile = cfg.channel_profile
-    taps = None if profile is None else channel.draw_taps(profile, rng, b)
+    taps = None if profile is None else channel.draw(profile, rng, b)
     noise = rng.standard_normal((2, b, cfg.frame.symbols_per_frame))
     return bits, taps, noise
 
@@ -234,9 +227,10 @@ def _block_kernel(cfg: LinkConfig, filt: fdss.FdssFilter, rho: float):
     the effective channel g; then ``transceiver._despread`` by the MMSE
     weights 1/(G + 1/rho).  Over AWGN g is ``filt.coeffs``, so G, the noise
     scale and the weights are computed once per point.  Over multipath g is
-    ``taps @ steer`` per frame, with the per-point (K, M) steering matrix
-    ``channel.steering`` of the K tap delays on ``frame.bins`` times c_k,
-    so that g = H_k c_k.
+    ``taps @ steer`` per frame, with the per-point (K, M) matrix
+    ``steer``: ``channel.freq_response`` of the K unit tap realizations
+    (the rows of the identity) on ``frame.bins``, times c_k, so that
+    g = H_k c_k.
     """
     frame, noise_var = cfg.frame, 1.0 / rho
 
@@ -250,8 +244,9 @@ def _block_kernel(cfg: LinkConfig, filt: fdss.FdssFilter, rho: float):
     if cfg.channel_profile is None:
         fixed = noise_model(filt.coeffs)
     else:
-        delays = cfg.channel_profile.tap_delays
-        steer = channel.steering(delays, frame.bins, frame.idft_size) * filt.coeffs
+        profile = cfg.channel_profile
+        unit_taps = np.eye(len(profile.tap_delays))  # row i: tap i alone, so steer's row i is its H_k
+        steer = channel.freq_response(profile, unit_taps, frame.bins, frame.idft_size) * filt.coeffs
 
     def symbols(bits, taps, noise):
         combined_gain, scale, weights = fixed if taps is None else noise_model(taps @ steer)

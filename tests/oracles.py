@@ -79,6 +79,23 @@ def nmse_db(x, ref, optimize_scale: bool = True) -> float:
     return float(10.0 * np.log10(err / np.sum(np.abs(ref) ** 2)))
 
 
+def impulse(profile: ChannelProfile, taps) -> np.ndarray:
+    """The impulse responses over delays 0 .. max_delay that hold ``taps`` at the tap delays."""
+    taps = np.asarray(taps)
+    h = np.zeros(taps.shape[:-1] + (profile.max_delay + 1,), dtype=complex)
+    h[..., list(profile.tap_delays)] = taps
+    return h
+
+
+def fft_response(profile: ChannelProfile, taps, n: int) -> np.ndarray:
+    """H_k on all n bins in natural order: ``np.fft.fft`` of the dense impulse response.
+
+    The N-point reference ``channel.freq_response`` and the sweep's channel
+    are checked against.
+    """
+    return np.fft.fft(impulse(profile, taps), n, axis=-1)
+
+
 def render_frames(filt, n_frames, seed, cfg):
     """Symbol bodies (CP dropped) of ``n_frames`` random QPSK frames, end to end.
 

@@ -228,12 +228,13 @@ def test_c8_property_suites():
 
     # CP/FDE consistency at 1e-10
     from chirplink import channel as ch_mod
-    ch = ch_mod.draw(ChannelProfile(), rng)
+    profile = ChannelProfile()
+    taps = ch_mod.draw(profile, rng)
     body = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     frame = np.concatenate([body[-96:], body])
-    out = ch_mod.apply(frame, ch)
+    out = ch_mod.apply(frame, profile, taps)
     lhs = np.fft.fft(out[96:])
-    rhs = ch_mod.freq_response(ch, N) * np.fft.fft(body)
+    rhs = ch_mod.freq_response(profile, taps, np.arange(N), N) * np.fft.fft(body)
     assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.max(np.abs(rhs)))
 
     # frequency-domain circular-shift law at 1e-12

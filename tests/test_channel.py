@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from chirplink import channel
 from chirplink.channel import ChannelProfile
+from oracles import fft_response, impulse
 
 
 @st.composite
@@ -33,7 +34,7 @@ class TestProfile:
             ChannelProfile((0.0, np.inf), 10.0, (0, 1))
         with pytest.raises(ValueError, match="tap_delays"):
             ChannelProfile((0.0, -3.0), 10.0, (0, 1.5))  # int() would truncate it to 1
-        for k in (-1.0, np.inf, np.nan):
+        for k in (-1.0, np.inf, np.nan, -2**63 - 1):  # an int past int64 too
             with pytest.raises(ValueError, match="rician_k"):
                 ChannelProfile(rician_k=k)
 
@@ -95,66 +96,70 @@ class TestDraw:
         batch = channel.draw(profile, np.random.default_rng(8), n)
         rng = np.random.default_rng(8)
         singles = [channel.draw(profile, rng) for _ in range(n)]
-        assert batch.shape == (n, profile.max_delay + 1)
+        assert batch.shape == (n, len(profile.tap_delays))
         np.testing.assert_array_equal(batch, singles)
-        # delays without a tap are exactly zero
-        gaps = np.setdiff1d(np.arange(profile.max_delay + 1), profile.tap_delays)
-        assert not np.any(batch[:, gaps])
+        bins = np.arange(16)
         np.testing.assert_array_equal(
-            channel.freq_response(batch, 16), [channel.freq_response(h, 16) for h in singles]
+            channel.freq_response(profile, batch, bins, 16),
+            [channel.freq_response(profile, h, bins, 16) for h in singles],
         )
         parts = np.random.default_rng(9).standard_normal((2, n, length))
         x = parts[0] + 1j * parts[1]
         np.testing.assert_array_equal(
-            channel.apply(x, batch), [channel.apply(row, h) for row, h in zip(x, singles)]
+            channel.apply(x, profile, batch),
+            [channel.apply(row, profile, h) for row, h in zip(x, singles)],
         )
 
-    @settings(max_examples=40, deadline=None)
-    @given(profile=profiles(), count=st.none() | st.integers(1, 4),
-           seed=st.integers(0, 2**32 - 1))
-    def test_taps_are_the_draw_at_its_delays(self, profile, count, seed):
-        # same numbers from the generator, and nothing else taken from it
-        rng_taps, rng_draw = np.random.default_rng(seed), np.random.default_rng(seed)
-        taps = channel.draw_taps(profile, rng_taps, count)
-        h = channel.draw(profile, rng_draw, count)
-        assert taps.shape == h.shape[:-1] + (len(profile.tap_delays),)
-        np.testing.assert_array_equal(taps, h[..., list(profile.tap_delays)])
-        assert rng_taps.standard_normal() == rng_draw.standard_normal()
-
     def test_realization_validation(self):
-        # the impulse response is checked where it is used: apply and freq_response
-        x = np.ones(8, dtype=complex)
-        bad = ([], np.zeros((3, 0)), 1.0, [1.0, np.nan], [1.0, np.inf],
-               [[1.0, 0.5], [1.0, complex(0.0, np.inf)]])
-        for h in bad:
-            with pytest.raises(ValueError, match="impulse response"):
-                channel.apply(x, h)
-            with pytest.raises(ValueError, match="impulse response"):
-                channel.freq_response(h, 8)
+        # the taps are checked where they are used: apply and freq_response
+        profile, x = ChannelProfile(), np.ones(8, dtype=complex)
+        bad = ([], np.zeros((3, 0)), 1.0, [1.0, 0.5], np.ones((2, 4)), [1.0, np.nan, 0.0],
+               [1.0, np.inf, 0.0], [[1.0, 0.5, 0.2], [1.0, complex(0.0, np.inf), 0.2]])
+        for taps in bad:
+            with pytest.raises(ValueError, match="^taps must be finite, 3 on the last axis"):
+                channel.apply(x, profile, taps)
+            with pytest.raises(ValueError, match="^taps must be finite, 3 on the last axis"):
+                channel.freq_response(profile, taps, np.arange(8), 8)
 
 
 class TestApply:
     def test_identity_channel(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        np.testing.assert_array_equal(channel.apply(x, [1.0]), x)
+        np.testing.assert_array_equal(channel.apply(x, ChannelProfile((0.0,), 0.0, (0,)), [1.0]), x)
 
     def test_two_tap_impulse(self):
         x = np.zeros(8, dtype=complex)
         x[0] = 1.0
-        y = channel.apply(x, np.array([1.0, 0.5], dtype=complex))
+        y = channel.apply(x, ChannelProfile((0.0, -3.0), 2.0, (0, 3)), [1.0, 0.5])
         expect = np.zeros(8, dtype=complex)
-        expect[0], expect[1] = 1.0, 0.5
+        expect[0], expect[3] = 1.0, 0.5
         np.testing.assert_allclose(y, expect)
+
+    @settings(max_examples=40, deadline=None)
+    @given(profile=profiles(), length=st.integers(15, 64), count=st.none() | st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_convolution(self, profile, length, count, seed):
+        rng = np.random.default_rng(seed)
+        taps = channel.draw(profile, rng, count)
+        parts = rng.standard_normal((2, count or 1, length))
+        x = parts[0] + 1j * parts[1]
+        dense = [np.convolve(row, h)[:length]
+                 for row, h in zip(x, np.atleast_2d(impulse(profile, taps)))]
+        got = channel.apply(x if count else x[0], profile, taps)
+        assert np.max(np.abs(np.atleast_2d(got) - dense)) < 1e-12
 
 
 class TestFreqResponse:
     def test_unit_tap(self):
-        np.testing.assert_allclose(channel.freq_response([1.0], 16), np.ones(16))
+        flat = ChannelProfile((0.0,), 0.0, (0,))
+        np.testing.assert_allclose(channel.freq_response(flat, [1.0], np.arange(16), 16),
+                                   np.ones(16))
 
     def test_unit_delay(self):
+        delayed = ChannelProfile((0.0,), 0.0, (1,))
         np.testing.assert_allclose(
-            channel.freq_response([0.0, 1.0], 4), [1, -1j, -1, 1j], atol=1e-15
+            channel.freq_response(delayed, [1.0], np.arange(4), 4), [1, -1j, -1, 1j], atol=1e-15
         )
 
     @pytest.mark.parametrize("seed, cp, profile", [
@@ -166,12 +171,12 @@ class TestFreqResponse:
         """Circular-convolution identity for CP-protected frames."""
         n = 512
         rng = np.random.default_rng(seed)
-        h = channel.draw(profile, rng)
+        taps = channel.draw(profile, rng)
         body = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         frame = np.concatenate([body[-cp:], body])
-        out = channel.apply(frame, h)
+        out = channel.apply(frame, profile, taps)
         lhs = np.fft.fft(out[cp:])
-        rhs = channel.freq_response(h, n) * np.fft.fft(body)
+        rhs = channel.freq_response(profile, taps, np.arange(n), n) * np.fft.fft(body)
         assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.max(np.abs(rhs)))
 
     @settings(max_examples=60, deadline=None)
@@ -185,44 +190,52 @@ class TestFreqResponse:
     def test_cp_fde_identity_random_profiles(self, profile, n, extra_cp, count, seed):
         cp = min(n, profile.max_delay + extra_cp)  # memory <= CP <= N
         batch = channel.draw(profile, np.random.default_rng(seed), count)
-        rng = np.random.default_rng(seed)
-        np.testing.assert_array_equal(batch, [channel.draw(profile, rng) for _ in range(count)])
         parts = np.random.default_rng(seed + 1).standard_normal((2, count, n))
         body = parts[0] + 1j * parts[1]
-        out = channel.apply(np.concatenate([body[:, n - cp :], body], axis=1), batch)
+        out = channel.apply(np.concatenate([body[:, n - cp :], body], axis=1), profile, batch)
         lhs = np.fft.fft(out[:, cp:], axis=1)
-        rhs = channel.freq_response(batch, n) * np.fft.fft(body, axis=1)
+        rhs = channel.freq_response(profile, batch, np.arange(n), n) * np.fft.fft(body, axis=1)
         assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.max(np.abs(rhs)))
 
-    def test_transform_shorter_than_memory_rejected(self):
-        h = np.array([1.0, 0, 0, 0, 0.5], dtype=complex)
-        with pytest.raises(ValueError, match="channel memory 4"):
-            channel.freq_response(h, 4)
-
-    def test_memory_longer_than_signal_rejected(self):
-        h = np.zeros(41, dtype=complex)
-        h[0], h[40] = 1.0, 0.5
-        with pytest.raises(ValueError):
-            channel.apply(np.ones(8, dtype=complex), h)
-
-
-class TestSteering:
     @settings(max_examples=60, deadline=None)
     @given(profile=profiles(), n=st.integers(16, 4096), m=st.integers(1, 4096),
            count=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
-    def test_matches_freq_response_on_the_bins(self, profile, n, m, count, seed):
+    def test_matches_the_fft_on_the_bins(self, profile, n, m, count, seed):
         m = min(m, n)
         bins = np.arange(-(m // 2), m - m // 2) % n  # a band around DC, in FFT order
-        h = channel.draw(profile, np.random.default_rng(seed), count)
-        delays = list(profile.tap_delays)
-        lhs = h[:, delays] @ channel.steering(delays, bins, n)
-        rhs = channel.freq_response(h, n)[:, bins]
+        taps = channel.draw(profile, np.random.default_rng(seed), count)
+        lhs = channel.freq_response(profile, taps, bins, n)
+        rhs = fft_response(profile, taps, n)[:, bins]
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_phase_index_is_exact_beyond_int64(self):
         # -1 * k mod n, though (n - 1) * k overflows int64
         n = 2**61 - 1
-        steer = channel.steering([0, n - 1], np.array([n // 3, n // 4]), n)
+        profile = ChannelProfile((0.0, 0.0), 0.0, (0, n - 1))
+        steer = channel.freq_response(profile, np.eye(2), np.array([n // 3, n // 4]), n)
         np.testing.assert_array_equal(steer[0], [1.0, 1.0])
         expected = np.exp(-2j * np.pi * np.array([n - n // 3, n - n // 4]) / n)
         np.testing.assert_allclose(steer[1], expected, rtol=0, atol=1e-15)
+
+    def test_transform_shorter_than_memory_rejected(self):
+        profile = ChannelProfile((0.0, -6.0), 0.0, (0, 4))
+        with pytest.raises(ValueError, match="channel memory 4"):
+            channel.freq_response(profile, [1.0, 0.5], np.arange(4), 4)
+
+    @pytest.mark.parametrize("n", [0, 2.5, -3, 1, 2, np.float64(8.0), True, "8", None])
+    def test_n_must_be_an_integer_above_the_memory(self, n):
+        with pytest.raises(ValueError, match="^n must be"):
+            channel.freq_response(ChannelProfile(), np.ones(3), np.arange(2), n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(profile=profiles(), data=st.data())
+    def test_n_at_most_the_memory_rejected(self, profile, data):
+        n = data.draw(st.integers(max_value=profile.max_delay))
+        taps = np.ones(len(profile.tap_delays))
+        with pytest.raises(ValueError, match=f"^n must be > the channel memory {profile.max_delay},"):
+            channel.freq_response(profile, taps, [0], n)
+
+    def test_memory_longer_than_signal_rejected(self):
+        profile = ChannelProfile((0.0, -6.0), 0.0, (0, 40))
+        with pytest.raises(ValueError):
+            channel.apply(np.ones(8, dtype=complex), profile, [1.0, 0.5])

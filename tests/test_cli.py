@@ -132,6 +132,10 @@ SCALAR_KEYS = ["waveform", "deviation", "n_harmonics", "frame/subcarriers", "fra
 LIST_KEYS = ["channel/tap_powers_db", "channel/tap_delays", "sweep/ebn0_db", "analysis/snr_db"]
 
 
+CONFIGS = Path(__file__).parent.parent / "configs"
+SHIPPED_CONFIGS = sorted(CONFIGS.glob("*.yaml"))
+
+
 def _wrong_type_cases():
     """(id, key its error must name, config text) for each wrong type of each key.
 
@@ -356,6 +360,20 @@ class TestBer:
         rc = cli.main(["ber", "--config", str(cfg), "--out", str(tmp_path / "tri.csv")])
         assert rc == cli.EXIT_UNDERCONVERGED
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.stem)
+    def test_shipped_rows_match_their_pin(self, path, tmp_path):
+        # in process, CI's check of the installed entry point: `grep -v '^#' | sha256sum`
+        out = tmp_path / "ber.csv"
+        assert cli.main(["ber", "--config", str(path), "--out", str(out)]) == 0
+        rows = "".join(ln for ln in out.read_text().splitlines(keepends=True)
+                       if not ln.startswith("#"))
+        pins = (CONFIGS / "ber_rows.sha256").read_text().splitlines()
+        assert f"{hashlib.sha256(rows.encode()).hexdigest()}  {path.name}" in pins
+
+    def test_one_pin_per_shipped_config(self):
+        pins = (CONFIGS / "ber_rows.sha256").read_text().splitlines()
+        assert sorted(line.split("  ")[1] for line in pins) == [p.name for p in SHIPPED_CONFIGS]
 
     def test_shipped_config_is_valid(self, tmp_path):
         raw = cli.load_config("configs/awgn_plain_r1.yaml")
@@ -849,7 +867,6 @@ class TestConfigValidation:
         assert cli.main(["design"]) == 1  # missing required flags
 
 
-SHIPPED_CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.yaml"))
 SIZE_KEYS = ("frame/idft_size", "frame/subcarriers")
 
 

@@ -117,6 +117,8 @@ class TestLinear:
     def test_rejects_bad_deviation(self):
         with pytest.raises(ValueError):
             design_linear(0.0, M)
+        with pytest.raises(ValueError, match="deviation"):
+            design_linear(-2**63 - 1, M)  # an int past int64, which np.isfinite cannot take
         with pytest.raises(ValueError):
             design_linear(400.0, M)
 

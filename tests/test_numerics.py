@@ -77,9 +77,14 @@ class TestBessel:
                 assert abs(seq[40 + k] - special.jv(k, x)) < 1e-14
 
     def test_domain_errors(self):
-        for x in (np.nan, np.inf, -np.inf, 2e6):
+        for x in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError):
                 numerics.bessel_j_sequence(2, x)
+
+    def test_large_argument_is_jv(self):
+        # no cap on the argument: scipy's jv holds far past any band's D/2
+        seq = numerics.bessel_j_sequence(3, 2e6)
+        np.testing.assert_array_equal(seq[3:], special.jv(np.arange(4), 2e6))
 
     def test_sequence_domain_errors(self):
         with pytest.raises(ValueError):

@@ -22,7 +22,7 @@ from chirplink.simulation import (
 )
 from chirplink.transceiver import (DataFrame, FrameConfig, demodulate, equalize, modulate,
                                     qpsk_demap)
-from oracles import numerologies, random_filter
+from oracles import fft_response, numerologies, random_filter
 
 
 class TestSnrConversions:
@@ -157,6 +157,11 @@ class TestTypeBoundary:
     def test_link_deviation(self, deviation):
         with pytest.raises(ValueError, match="^deviation must be a real number"):
             LinkConfig(deviation=deviation)
+
+    def test_deviation_past_int64(self):
+        # a Python int a float holds but int64 does not is a number like any other
+        with pytest.raises(ValueError, match="^deviation must be finite and > 0"):
+            LinkConfig(deviation=-2**63 - 1)
 
     @pytest.mark.parametrize("args, field", [
         (("plain", 318.0, 336.0), "subcarriers"),
@@ -296,13 +301,6 @@ class TestSweep:
         assert point.simulated_ber > point.theoretical_ber
 
 
-def impulse(profile: ChannelProfile, taps: np.ndarray) -> np.ndarray:
-    """The impulse responses over delays 0 .. max_delay that hold ``taps`` at the tap delays."""
-    h = np.zeros(taps.shape[:-1] + (profile.max_delay + 1,), dtype=complex)
-    h[..., list(profile.tap_delays)] = taps
-    return h
-
-
 def replay_point(cfg: LinkConfig, counts: list | None = None) -> BerPoint:
     """The first grid point of ``cfg``, one single-frame band-domain call at a time.
 
@@ -325,8 +323,7 @@ def replay_point(cfg: LinkConfig, counts: list | None = None) -> BerPoint:
             band = modulate(DataFrame.from_bits(bits[i]), filt, frame).band
             h = np.ones(frame.subcarriers)
             if taps is not None:
-                h = channel.freq_response(impulse(cfg.channel_profile, taps[i]),
-                                          frame.idft_size)[bins]
+                h = fft_response(cfg.channel_profile, taps[i], frame.idft_size)[bins]
             combined, gain = transceiver._combine(h * band, h * filt.coeffs, frame)
             combined += np.sqrt(gain / (2.0 * rho)) * (noise[0, i] + 1j * noise[1, i])
             symbols = transceiver._despread(combined, 1.0 / (gain + 1.0 / rho))
@@ -386,7 +383,7 @@ class TestBlockEngine:
         kernel = symbols(bits, taps, np.zeros_like(noise))
         h_band = np.ones(frame.subcarriers)
         if taps is not None:
-            h_band = channel.freq_response(impulse(profile, taps), frame.idft_size)[:, frame.bins]
+            h_band = fft_response(profile, taps, frame.idft_size)[:, frame.bins]
         band = modulate(DataFrame.from_bits(bits), filt, frame).band
         chain = equalize(h_band * band, h_band * filt.coeffs, frame, 1.0 / rho)
         assert kernel.shape == chain.shape == (count, frame.symbols_per_frame)
@@ -410,8 +407,8 @@ class TestBlockEngine:
         rng = np.random.default_rng(seed)
         gain = random_filter(rng, frame.subcarriers).coeffs
         if profile is not None:
-            h = channel.draw(profile, rng)
-            gain = channel.freq_response(h, frame.idft_size)[frame.bins] * gain
+            taps = channel.draw(profile, rng)
+            gain = channel.freq_response(profile, taps, frame.bins, frame.idft_size) * gain
         m = frame.subcarriers
         a = transceiver._combine(np.eye(m), gain, frame)[0].T  # (M/R, M): combined = a @ band
         g = transceiver._combined_gain(gain, frame)
@@ -424,7 +421,7 @@ class TestBlockEngine:
 
     def test_non_finite_channel_raises(self, monkeypatch):
         # a NaN channel must not turn into a silent BER
-        monkeypatch.setattr(channel, "draw_taps",
+        monkeypatch.setattr(channel, "draw",
                             lambda profile, rng, count: np.full((count, 3), np.nan))
         cfg = LinkConfig(channel_profile=ChannelProfile(), ebn0_grid_db=(10.0,))
         with pytest.raises(ValueError, match="^channel gain must be finite"):

@@ -326,11 +326,11 @@ class TestBatch:
             demodulate(rx[0], np.ones((3, M), complex), CFG, 0.1)
 
 
-def both_paths(symbols, filt, cfg, h, noise, noise_var):
+def both_paths(symbols, filt, cfg, profile, taps, noise, noise_var):
     """Symbols through the time-domain chain and through the band, same noise.
 
-    ``h`` is an impulse response (or None for AWGN) and ``noise`` the
-    time-domain noise of every sample, CP included.  The band path adds the
+    ``taps`` are the tap gains of ``profile`` (both None for AWGN) and
+    ``noise`` the time-domain noise of every sample, CP included.  The band path adds the
     noise's share of the occupied bins at the equalizer plane,
     sqrt(M/N) * DFT(noise body) on those bins.
     """
@@ -339,9 +339,9 @@ def both_paths(symbols, filt, cfg, h, noise, noise_var):
     tx = modulate(DataFrame(symbols), filt, cfg)
     rx = tx.samples
     h_band = np.ones(m, complex)
-    if h is not None:
-        rx = channel.apply(rx, h)
-        h_band = channel.freq_response(h, n)[..., bins]
+    if profile is not None:
+        rx = channel.apply(rx, profile, taps)
+        h_band = channel.freq_response(profile, taps, bins, n)
     time = demodulate(rx + noise, h_band * filt.coeffs, cfg, noise_var)
     w = numerics.dft(noise[..., cfg.cp_len :])[..., bins] * np.sqrt(m / n)
     band = equalize(h_band * tx.band + w, h_band * filt.coeffs, cfg, noise_var)
@@ -372,9 +372,10 @@ class TestRandomNumerologies:
         rx = modulate(DataFrame.from_bits(bits), filt, cfg).samples
         h_band = np.ones(cfg.subcarriers)
         if profile is not None:
-            h = channel.draw(profile, rng, 2)
-            rx = channel.apply(rx, h)
-            h_band = channel.freq_response(h, cfg.idft_size)[:, filt.subcarriers % cfg.idft_size]
+            taps = channel.draw(profile, rng, 2)
+            rx = channel.apply(rx, profile, taps)
+            h_band = channel.freq_response(profile, taps, filt.subcarriers % cfg.idft_size,
+                                           cfg.idft_size)
         symbols = demodulate(rx, h_band * filt.coeffs, cfg, 0.0)  # zero-forcing: exact recovery
         assert np.max(np.abs(symbols - qpsk_map(bits))) < 1e-8
         np.testing.assert_array_equal(qpsk_demap(symbols), bits)
@@ -438,10 +439,12 @@ class TestBandTimeIdentity:
         cfg = FrameConfig(repetition=repetition)
         rng = np.random.default_rng(77)
         bits = rng.integers(0, 2, (16, cfg.bits_per_frame), dtype=np.uint8)
-        h = channel.draw(ChannelProfile(), rng, 16) if multipath else None
+        profile = ChannelProfile() if multipath else None
+        taps = channel.draw(profile, rng, 16) if multipath else None
         rho = 10.0
         noise = time_noise(rng, (16, cfg.samples_per_frame), rho, cfg)
-        time, band = both_paths(qpsk_map(bits), ALL_FILTERS[name], cfg, h, noise, 1.0 / rho)
+        time, band = both_paths(qpsk_map(bits), ALL_FILTERS[name], cfg, profile, taps, noise,
+                                1.0 / rho)
         assert np.max(np.abs(time - band)) < 1e-12
 
     @settings(max_examples=80, deadline=None)
@@ -452,10 +455,10 @@ class TestBandTimeIdentity:
         rng = np.random.default_rng(seed)
         filt = random_filter(rng, cfg.subcarriers)
         symbols = qpsk_map(rng.integers(0, 2, (count, cfg.bits_per_frame)))
-        h = None if profile is None else channel.draw(profile, rng, count)
+        taps = None if profile is None else channel.draw(profile, rng, count)
         rho = 10.0 ** (snr_db / 10.0)
         noise = time_noise(rng, (count, cfg.samples_per_frame), rho, cfg)
-        time, band = both_paths(symbols, filt, cfg, h, noise, 1.0 / rho)
+        time, band = both_paths(symbols, filt, cfg, profile, taps, noise, 1.0 / rho)
         assert np.max(np.abs(time - band)) < 1e-12
 
 
