@@ -114,9 +114,11 @@ def psd(signal, nfft: int, n_avg: int) -> np.ndarray:
     """Averaged periodogram in dB, rectangular window, non-overlapping segments.
 
     Normalized by :func:`in_band_db`.  Bins are in natural FFT order.
+    ``nfft`` and ``n_avg`` must be integers.
     """
     x = np.asarray(signal, dtype=complex)
-    if nfft < 1 or n_avg < 1:
+    if (require_number("nfft", nfft, count=True) < 1
+            or require_number("n_avg", n_avg, count=True) < 1):
         raise ValueError("nfft and n_avg must be positive")
     if len(x) < nfft * n_avg:
         raise ValueError(f"need at least {nfft * n_avg} samples, got {len(x)}")
@@ -134,9 +136,11 @@ def spectrogram(signal, win_len: int = 64, hop: int = 8) -> np.ndarray:
     """Short-time power grid in dB, shape (num_slices, win_len).
 
     Rectangular window, natural FFT bin order along the frequency axis.
+    ``win_len`` and ``hop`` must be integers.
     """
     x = np.asarray(signal, dtype=complex)
-    if win_len < 1 or hop < 1:
+    if (require_number("win_len", win_len, count=True) < 1
+            or require_number("hop", hop, count=True) < 1):
         raise ValueError("win_len and hop must be positive")
     if win_len > len(x):
         raise ValueError("win_len exceeds the signal length")

@@ -78,7 +78,10 @@ def draw(
     complex Gaussian (Rayleigh envelopes) with variances p_i.  All normals
     come from one ``standard_normal((count, K, 2))`` call, so row i equals
     the (i+1)-th of ``count`` single draws from the same generator.
+    ``count`` is None or an integer >= 0.
     """
+    if count is not None and require_number("count", count, count=True) < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     p = profile.tap_powers
     k = profile.rician_k
     scale = np.sqrt(p / 2.0)
@@ -111,18 +114,20 @@ def freq_response(profile: ChannelProfile, taps, bins, n: int) -> np.ndarray:
     """H_k = sum_i g_i e^{-j 2 pi (d_i k mod n) / n} on each of ``bins``.
 
     Shape (len(bins),) for one realization, (B, len(bins)) for B, in
-    O(K * len(bins)) time and memory whatever n and the largest delay.  The
-    phase index d k mod n is exact: it is taken in Python integers, as d k
-    can exceed int64.  For any frame whose CP covers the channel memory, the
-    n-point DFT of the channel output equals H_k times the DFT of the body
-    bin by bin.
+    O(K * len(bins)) time and memory whatever n and the largest delay.
+    ``bins`` is a 1-d sequence or array of integers.  The phase index
+    d k mod n is exact: it is taken in Python integers, as d k can exceed
+    int64.  For any frame whose CP covers the channel memory, the n-point
+    DFT of the channel output equals H_k times the DFT of the body bin by
+    bin.
     """
     taps = _taps(profile, taps)
     require_number("n", n, count=True)
     memory = profile.max_delay
     if n <= memory:
         raise ValueError(f"n must be > the channel memory {memory}, got {n}")
-    index = np.outer(np.array([int(d) for d in profile.tap_delays], dtype=object),
-                     np.asarray(bins).astype(object)) % int(n)
+    bins = np.array([int(k) for k in require_numbers("bins", bins, count=True)], dtype=object)
+    delays = np.array([int(d) for d in profile.tap_delays], dtype=object)
+    index = np.outer(delays, bins) % int(n)
     steer = np.exp(-2j * np.pi * (index / int(n)).astype(float))
     return np.sum(taps[..., None] * steer, axis=-2)  # one order of sums: rows are single calls

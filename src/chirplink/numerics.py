@@ -19,8 +19,9 @@ centred on index 0, as one FFT product over a length that holds the
 whole linear convolution, so the circular product cannot wrap around.
 
 ``require_number`` and ``require_numbers`` are the one type check of a
-config value: the numbers of ``FrameConfig``, ``ChannelProfile`` and
-``LinkConfig`` and the ``design_filter`` arguments go through them.
+number a caller passes in: the numbers of ``FrameConfig``,
+``ChannelProfile`` and ``LinkConfig``, the ``design_filter`` arguments and
+the sizes and counts of the public functions go through them.
 """
 
 from __future__ import annotations
@@ -67,10 +68,11 @@ def bessel_j_sequence(max_order: int, x: float) -> np.ndarray:
 
     Order k sits at index K + k.  ``jv`` evaluates orders 0..K only; the
     negative half mirrors them by J_-k = (-1)^k J_k, exact as computed.
+    ``max_order`` must be an integer and ``x`` a real number.
     """
-    if not 0 <= x < np.inf:  # NaN fails too
+    if not 0 <= require_number("x", x) < np.inf:  # NaN fails too
         raise ValueError(f"bessel argument must be finite and >= 0, got {x}")
-    if max_order < 0:
+    if require_number("max_order", max_order, count=True) < 0:
         raise ValueError("max_order must be >= 0")
     orders = np.arange(max_order + 1)
     pos = _special.jv(orders, x)

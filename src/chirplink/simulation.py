@@ -5,29 +5,22 @@ Noise calibration: the per-subcarrier SNR is rho = (2/R) * Eb/N0 for QPSK
 unit average power).  Theory curves use the combined-level SNR R*rho, i.e.
 2 * Eb/N0 regardless of R.
 
-The sweep runs on the combined bins.  ``LinkConfig`` keeps the channel
-memory within the CP, so after CP removal and the N-point DFT each occupied
-bin is exactly g_k * X_k + W_k at the equalizer reference plane, with
-g_k = H_k * c_k, X_k the spread data on subcarrier k and W_k ~ CN(0, 1/rho)
-iid: time-domain noise of variance (N/M)/rho per sample (the unit-power
-signal sits on M of the N bins) has iid unitary-DFT bins of that variance,
-and ``demodulate``'s sqrt(M/N) scales it by M/N.  The receiver is linear
-(MRC over the R copies, single-tap MMSE, (M/R)-point despreading IDFT), so
+The sweep runs on the combined bins of the receive chain (see
+``transceiver``).  ``LinkConfig`` keeps the channel memory within the CP,
+so after CP removal and the N-point DFT each occupied bin is exactly
+g_k * X_k + W_k at the equalizer reference plane, with g_k = H_k * c_k,
+X_k the spread data on subcarrier k and W_k ~ CN(0, 1/rho) iid:
+time-domain noise of variance (N/M)/rho per sample (the unit-power signal
+sits on M of the N bins) has iid unitary-DFT bins of that variance, and
+``demodulate``'s sqrt(M/N) scales it by M/N.  The receiver is linear, so
 after combining, data bin j holds exactly G_j * X_j + N_j, with G_j the
 sum of |g_k|^2 over its R copies and N_j the sum of conj(g_k) * W_k.  The
 bins have disjoint copies and W is circular, so the N_j are independent
-CN(0, G_j/rho): a frame needs M/R complex normals, not M.  A block
-therefore goes from its draw straight to those bins: G by
-``transceiver._combined_gain``, the fold and roll of ``equalize``'s
-``_combine``, then ``equalize``'s own ``_despread``.  g is the filter over
-AWGN, or the K tap gains (``channel.draw``) times a per-point (K, M)
-matrix over multipath, ``channel.freq_response`` of the K unit tap
-realizations on the occupied bins times c_k; no modulator, IDFT, CP,
-channel filter, N-point transform or receiver DFT runs per frame, and no
-array grows with N or with the largest delay.  The combined bins
-have the distribution of those ``equalize`` forms from the time-domain
-chain (the tests check the noiseless bins against it and the combining
-map's covariance), so the BER has that chain's distribution; the draws
+CN(0, G_j/rho): a frame needs M/R complex normals, not M, and no array
+grows with N or with the largest delay.  The combined bins have the
+distribution of those ``equalize`` forms from the time-domain chain (the
+tests check the noiseless bins against it and the combining map's
+covariance), so the BER has that chain's distribution; the draws
 themselves are not the band noise's, and this stream's CSV bytes are
 pinned in the tests.
 
@@ -223,10 +216,12 @@ def _block_kernel(cfg: LinkConfig, filt: fdss.FdssFilter, rho: float):
     """``symbols(bits, taps, noise)``: the receiver's symbols of one ``_draw_block`` draw.
 
     Combined bin j of a frame is G_j X_j + sqrt(G_j/(2 rho)) (noise[0] +
-    j noise[1]), with X the data DFT and G ``transceiver._combined_gain`` of
-    the effective channel g; then ``transceiver._despread`` by the MMSE
-    weights 1/(G + 1/rho).  Over AWGN g is ``filt.coeffs``, so G, the noise
-    scale and the weights are computed once per point.  Over multipath g is
+    j noise[1]), with X the data DFT and G ``transceiver._in_data_order`` of
+    |g|^2 for the effective channel g; times ``transceiver._mmse_weights``
+    1/(G + 1/rho), then despread by the (M/R)-point IDFT, as ``equalize``
+    does.  No modulator, IDFT, CP, channel filter, N-point transform or
+    receiver DFT runs per frame.  Over AWGN g is ``filt.coeffs``, so G, the
+    noise scale and the weights are computed once per point.  Over multipath g is
     ``taps @ steer`` per frame, with the per-point (K, M) matrix
     ``steer``: ``channel.freq_response`` of the K unit tap realizations
     (the rows of the identity) on ``frame.bins``, times c_k, so that
@@ -235,7 +230,7 @@ def _block_kernel(cfg: LinkConfig, filt: fdss.FdssFilter, rho: float):
     frame, noise_var = cfg.frame, 1.0 / rho
 
     def noise_model(gain):
-        combined_gain = transceiver._combined_gain(gain, frame)
+        combined_gain = transceiver._in_data_order(np.abs(gain) ** 2, frame)
         if not np.all(np.isfinite(combined_gain)):
             raise ValueError("channel gain must be finite")
         return (combined_gain, np.sqrt(combined_gain * (0.5 * noise_var)),
@@ -254,7 +249,7 @@ def _block_kernel(cfg: LinkConfig, filt: fdss.FdssFilter, rho: float):
         np.multiply(noise[0], scale, out=combined.real)
         np.multiply(noise[1], scale, out=combined.imag)
         combined += combined_gain * numerics.dft(transceiver.qpsk_map(bits))
-        return transceiver._despread(combined, weights)
+        return numerics.dft(combined * weights, inverse=True)
 
     return symbols
 
@@ -305,7 +300,7 @@ def run_ber_sweep(cfg: LinkConfig) -> BerCurve:
     point i draws from child i of ``SeedSequence(seed)``, in blocks of
     ``FRAME_BLOCK`` frames drawn by ``_draw_block``; each block goes from
     its draw to the receiver's combined bins (``_block_kernel``) and is
-    despread by the MMSE path ``equalize`` takes; frames drawn after a
+    weighted and despread as ``equalize`` does; frames drawn after a
     point's stopping frame are not counted.
     Under-converged points (``max_frames`` ran out before both ``min_bits``
     and ``min_errors`` were met) are flagged on the curve, not raised.

@@ -5,18 +5,22 @@ bin k mod M/R times its shaping-filter weight, the M shaped values go on
 an N-point grid (natural FFT order: subcarrier k sits at bin k mod N,
 guard bins zero), N-point IDFT, prepend a cyclic prefix.
 
-Receive chain (effective channel H_k * c_k known; the shaping filter is
-part of it, not a receiver input): drop the CP, N-point DFT, extract the
-occupied band, maximal-ratio combine the R frequency copies, single-tap
-MMSE equalize, despread with an (M/R)-point IDFT, slice.
+Receive chain (effective channel g_k = H_k * c_k known; the shaping
+filter is part of it, not a receiver input): drop the CP, N-point DFT,
+extract the occupied band, then ``equalize``'s three steps:
+
+1. MRC of the R frequency copies: ``_in_data_order`` sums conj(g) * band
+   into the M/R combined bins, in data-bin order, and likewise |g|^2 into
+   the combined gains G;
+2. the single-tap MMSE weights 1/(G + noise_var), ``_mmse_weights``;
+3. the combined bins times the weights, despread by the (M/R)-point
+   IDFT ``numerics.dft(..., inverse=True)``; slicing follows.
 
 Both chains meet at the equalizer reference plane, the occupied band
 at unit average data power: ``TxSignal.band`` on the way out (the time
 samples are built only when read), ``equalize`` on the way in, after
-``demodulate``'s DFT and band extraction.  ``equalize`` is MRC
-(``_combine``, into data-bin order) then MMSE and despreading
-(``_mmse_weights``, ``_despread``); the BER sweep forms its combined bins
-with ``_combine``'s gain rule, ``_combined_gain``, and despreads them the same way.
+``demodulate``'s DFT and band extraction.  The BER sweep forms its
+combined bins with the same two helpers and despreads them the same way.
 
 Every function works along the last axis: one frame is a 1-d array, a
 block of B frames is the same call with a leading axis of length B, and
@@ -253,27 +257,15 @@ def equalize(band, gain, cfg: FrameConfig, noise_var: float) -> np.ndarray:
     band = np.asarray(band, dtype=complex)
     if band.shape[-1:] != (m,) or not np.all(np.isfinite(band)):
         raise ValueError(f"band must hold {m} finite values per frame, got shape {band.shape}")
+    noise_var = float(numerics.require_number("noise_var", noise_var))
     if not (np.isfinite(noise_var) and noise_var >= 0):
         raise ValueError(f"noise_var must be finite and >= 0, got {noise_var}")
     gain = np.asarray(gain, dtype=complex)
     if gain.shape not in ((m,), band.shape) or not np.all(np.isfinite(gain)):
         raise ValueError(f"gain must be finite, of shape {(m,)} or {band.shape}, got {gain.shape}")
-    combined, combined_gain = _combine(band, gain, cfg)
-    return _despread(combined, _mmse_weights(combined_gain, noise_var))
-
-
-def _combine(band: np.ndarray, gain: np.ndarray, cfg: FrameConfig) -> tuple[np.ndarray, np.ndarray]:
-    """MRC over the R copies: the combined values sum conj(gain) * band, their gain |gain|^2.
-
-    Both come back on the M/R combined bins in data-bin order (see
-    ``_in_data_order``), so a noiseless band gives G_j * X_j at index j.
-    """
-    return _in_data_order(np.conj(gain) * band, cfg), _combined_gain(gain, cfg)
-
-
-def _combined_gain(gain: np.ndarray, cfg: FrameConfig) -> np.ndarray:
-    """G_j, the sum of |gain|^2 over the R copies of data bin j: (..., M) -> (..., M/R)."""
-    return _in_data_order(np.abs(gain) ** 2, cfg)
+    combined = _in_data_order(np.conj(gain) * band, cfg)
+    weights = _mmse_weights(_in_data_order(np.abs(gain) ** 2, cfg), noise_var)
+    return numerics.dft(combined * weights, inverse=True)
 
 
 def _in_data_order(values: np.ndarray, cfg: FrameConfig) -> np.ndarray:
@@ -294,11 +286,6 @@ def _mmse_weights(combined_gain: np.ndarray, noise_var: float) -> np.ndarray:
             f" {int(np.sum(combined_gain == 0))} of {combined_gain.size} bins have none"
         )
     return 1.0 / (combined_gain + noise_var)
-
-
-def _despread(combined: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The combined bins times ``_mmse_weights``, then the (M/R)-point despreading IDFT."""
-    return numerics.dft(combined * weights, inverse=True)
 
 
 def _fold(values: np.ndarray, r: int) -> np.ndarray:

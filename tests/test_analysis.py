@@ -302,6 +302,12 @@ class TestPsd:
         with pytest.raises(ValueError):
             psd(np.ones(100, dtype=complex), 64, 4)
 
+    @pytest.mark.parametrize("nfft, n_avg, name", [(8.5, 1, "nfft"), ("8", 1, "nfft"),
+                                                   (8, 1.0, "n_avg"), (8, True, "n_avg")])
+    def test_sizes_must_be_integers(self, nfft, n_avg, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            psd(np.ones(64, dtype=complex), nfft, n_avg)
+
 
 def spectrogram_ridge(spec_db, sample_rate_bins):
     """Peak frequency per time slice, in signed subcarrier units.
@@ -361,6 +367,12 @@ class TestSpectrogram:
     def test_window_validation(self):
         with pytest.raises(ValueError):
             spectrogram(np.ones(10, dtype=complex), 64, 8)
+
+    @pytest.mark.parametrize("win_len, hop, name", [(8.5, 1, "win_len"), ("8", 1, "win_len"),
+                                                    (8, 1.5, "hop"), (8, None, "hop")])
+    def test_sizes_must_be_integers(self, win_len, hop, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            spectrogram(np.ones(64, dtype=complex), win_len, hop)
 
 
 class TestPapr:

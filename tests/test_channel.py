@@ -110,6 +110,16 @@ class TestDraw:
             [channel.apply(row, profile, h) for row, h in zip(x, singles)],
         )
 
+    @pytest.mark.parametrize("count", [2.5, True, "2", np.float64(2.0)])
+    def test_count_must_be_an_integer(self, count):
+        with pytest.raises(ValueError, match="^count must be an integer"):
+            channel.draw(ChannelProfile(), np.random.default_rng(0), count)
+
+    def test_count_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="^count must be >= 0, got -1"):
+            channel.draw(ChannelProfile(), np.random.default_rng(0), -1)
+        assert channel.draw(ChannelProfile(), np.random.default_rng(0), 0).shape == (0, 3)
+
     def test_realization_validation(self):
         # the taps are checked where they are used: apply and freq_response
         profile, x = ChannelProfile(), np.ones(8, dtype=complex)
@@ -216,6 +226,13 @@ class TestFreqResponse:
         np.testing.assert_array_equal(steer[0], [1.0, 1.0])
         expected = np.exp(-2j * np.pi * np.array([n - n // 3, n - n // 4]) / n)
         np.testing.assert_allclose(steer[1], expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("bins", [[0.5, 1.5], np.array([0.0, 1.0]), [0, True], "01", 3,
+                                      np.arange(4).reshape(2, 2)])
+    def test_bins_must_be_integers(self, bins):
+        # the phase index d k mod n is exact only for integer bins
+        with pytest.raises(ValueError, match="^bins must be"):
+            channel.freq_response(ChannelProfile(), np.ones(3), bins, 8)
 
     def test_transform_shorter_than_memory_rejected(self):
         profile = ChannelProfile((0.0, -6.0), 0.0, (0, 4))

@@ -92,6 +92,17 @@ class TestBessel:
         with pytest.raises(ValueError):
             numerics.bessel_j_sequence(-1, 1.0)
 
+    @pytest.mark.parametrize("max_order", [2.5, 3.0, True, "3", None])
+    def test_max_order_must_be_an_integer(self, max_order):
+        # 2.5 would give the 7 values of orders -3..3, off the K + k index
+        with pytest.raises(ValueError, match="^max_order must be an integer"):
+            numerics.bessel_j_sequence(max_order, 1.0)
+
+    @pytest.mark.parametrize("x", ["1", None, True, [1.0], 10**400])
+    def test_argument_must_be_a_real_number(self, x):
+        with pytest.raises(ValueError, match="^x must be a real number"):
+            numerics.bessel_j_sequence(3, x)
+
 
 class TestFresnel:
     def test_zero(self):

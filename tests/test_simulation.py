@@ -305,11 +305,12 @@ def replay_point(cfg: LinkConfig, counts: list | None = None) -> BerPoint:
     """The first grid point of ``cfg``, one single-frame band-domain call at a time.
 
     Takes each block from ``simulation._draw_block``, combines each frame's
-    noiseless occupied band H * band with ``transceiver._combine``, adds the
-    combined noise sqrt(G/(2 rho)) * (n_re + j n_im) where ``_despread``
-    sees it, and stops at the first frame that meets the targets or the
-    frame cap.  ``counts``, if given, receives the running (bits, errors)
-    after every frame.
+    noiseless occupied band H * band into data-bin order with
+    ``transceiver._in_data_order``, adds the combined noise
+    sqrt(G/(2 rho)) * (n_re + j n_im) before the MMSE weights and the
+    despreading IDFT, and stops at the first frame that meets the targets
+    or the frame cap.  ``counts``, if given, receives the running
+    (bits, errors) after every frame.
     """
     frame, filt, ebn0 = cfg.frame, cfg.filter, cfg.ebn0_grid_db[0]
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(len(cfg.ebn0_grid_db))[0])
@@ -324,9 +325,11 @@ def replay_point(cfg: LinkConfig, counts: list | None = None) -> BerPoint:
             h = np.ones(frame.subcarriers)
             if taps is not None:
                 h = fft_response(cfg.channel_profile, taps[i], frame.idft_size)[bins]
-            combined, gain = transceiver._combine(h * band, h * filt.coeffs, frame)
+            g = h * filt.coeffs
+            combined = transceiver._in_data_order(np.conj(g) * (h * band), frame)
+            gain = transceiver._in_data_order(np.abs(g) ** 2, frame)
             combined += np.sqrt(gain / (2.0 * rho)) * (noise[0, i] + 1j * noise[1, i])
-            symbols = transceiver._despread(combined, 1.0 / (gain + 1.0 / rho))
+            symbols = numerics.dft(combined * (1.0 / (gain + 1.0 / rho)), inverse=True)
             errors += int(np.sum(qpsk_demap(symbols) != bits[i]))
             bits_sent += frame.bits_per_frame
             frames += 1
@@ -389,7 +392,7 @@ class TestBlockEngine:
         assert kernel.shape == chain.shape == (count, frame.symbols_per_frame)
         assert np.max(np.abs(kernel - chain)) < 1e-12
         # the noise reaches combined bin j as sqrt(G_j/(2 rho)) (n_re + j n_im)
-        gain = transceiver._combined_gain(h_band * filt.coeffs, frame)
+        gain = transceiver._in_data_order(np.abs(h_band * filt.coeffs) ** 2, frame)
         combined_noise = numerics.dft(symbols(bits, taps, noise) - kernel)
         combined_noise *= gain + 1.0 / rho
         expected = np.sqrt(gain / (2.0 * rho)) * (noise[0] + 1j * noise[1])
@@ -400,9 +403,10 @@ class TestBlockEngine:
     @given(numerology=numerologies(), seed=st.integers(0, 2**32 - 1))
     def test_combined_noise_distribution(self, numerology, seed):
         # The chain's combined noise is A w for the band noise w ~ CN(0, I/rho)
-        # and the map A = _combine(., gain) of the band.  It has the kernel's
-        # distribution CN(0, diag(G)/rho) exactly when A A^H = diag(G) and A
-        # has no conjugate part (then A w is circular, as w is).
+        # and the MRC map A = _in_data_order(conj(gain) * .) of the band.  It
+        # has the kernel's distribution CN(0, diag(G)/rho) exactly when
+        # A A^H = diag(G) and A has no conjugate part (then A w is circular,
+        # as w is).
         frame, profile = numerology
         rng = np.random.default_rng(seed)
         gain = random_filter(rng, frame.subcarriers).coeffs
@@ -410,13 +414,13 @@ class TestBlockEngine:
             taps = channel.draw(profile, rng)
             gain = channel.freq_response(profile, taps, frame.bins, frame.idft_size) * gain
         m = frame.subcarriers
-        a = transceiver._combine(np.eye(m), gain, frame)[0].T  # (M/R, M): combined = a @ band
-        g = transceiver._combined_gain(gain, frame)
+        a = transceiver._in_data_order(np.conj(gain) * np.eye(m), frame).T  # combined = a @ band
+        g = transceiver._in_data_order(np.abs(gain) ** 2, frame)
         scale = max(1.0, np.max(g))
         assert np.max(np.abs(a @ a.conj().T - np.diag(g))) < 1e-12 * scale
         w = np.array([1.0, 1j]) @ rng.standard_normal((2, m))
         for band in (w, 1j * w):
-            combined = transceiver._combine(band, gain, frame)[0]
+            combined = transceiver._in_data_order(np.conj(gain) * band, frame)
             assert np.max(np.abs(combined - a @ band)) < 1e-12 * scale
 
     def test_non_finite_channel_raises(self, monkeypatch):

@@ -16,7 +16,7 @@ from chirplink.transceiver import (
     PAPR_FRAMES,
     DataFrame,
     FrameConfig,
-    _combine,
+    _in_data_order,
     demodulate,
     equalize,
     modulate,
@@ -246,11 +246,15 @@ class TestBoundaryValidation:
         with pytest.raises(ValueError, match="^gain "):
             demodulate(rx, gain_bad, CFG, 0.1)
 
-    @pytest.mark.parametrize("noise_var", [-0.1, -np.inf, np.inf, np.nan])
+    @pytest.mark.parametrize("noise_var", [-0.1, -np.inf, np.inf, np.nan, "0.1", None,
+                                           np.array([0.1, 0.2]), True, -2**70, 10**400])
     def test_bad_noise_var_named(self, noise_var):
         rx = np.ones(CFG.samples_per_frame, complex)
+        gain = ALL_FILTERS["plain"].coeffs
         with pytest.raises(ValueError, match="^noise_var "):
-            demodulate(rx, ALL_FILTERS["plain"].coeffs, CFG, noise_var)
+            demodulate(rx, gain, CFG, noise_var)
+        with pytest.raises(ValueError, match="^noise_var "):
+            equalize(np.ones(M, complex), gain, CFG, noise_var)
 
     def test_zero_forcing_on_zero_gain_bins_rejected(self):
         filt = design_sinusoidal(1.0, M)
@@ -413,13 +417,14 @@ class TestRandomNumerologies:
     @given(numerology=numerologies(), count=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
     def test_combine_returns_data_bin_order(self, numerology, count, seed):
         # MRC of a noiseless band holds G_j * X_j at index j, X = dft(d):
-        # _combine undoes modulate's map of subcarrier k to data bin k mod (M/R)
+        # _in_data_order undoes modulate's map of subcarrier k to data bin k mod (M/R)
         cfg, _ = numerology
         rng = np.random.default_rng(seed)
         filt = random_filter(rng, cfg.subcarriers)
         d = qpsk_map(rng.integers(0, 2, (count, cfg.bits_per_frame)))
         band = modulate(DataFrame(d), filt, cfg).band
-        combined, combined_gain = _combine(band, filt.coeffs, cfg)
+        combined = _in_data_order(np.conj(filt.coeffs) * band, cfg)
+        combined_gain = _in_data_order(np.abs(filt.coeffs) ** 2, cfg)
         assert combined.shape == (count, cfg.symbols_per_frame)
         assert np.max(np.abs(combined - combined_gain * numerics.dft(d))) < 1e-12
 
